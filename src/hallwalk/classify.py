@@ -18,12 +18,20 @@ from dataclasses import dataclass
 
 from . import delta as deltas
 from .errors import (
-    BudgetExceededError,
     MathematicalInconsistencyError,
     OriginNotInteriorError,
     UnsupportedSequenceError,
 )
-from .polytope import HalfSpace, check_s, contains, dilate, lattice_points, reverse, vertices
+from .polytope import (
+    HalfSpace,
+    check_s,
+    contains,
+    dilate,
+    lattice_points,
+    reflect,
+    reverse,
+    vertices,
+)
 
 STRICTLY_INCREASING = "strictly-increasing"
 CONSTANT_THEN_STRICT = "constant-then-strict"
@@ -145,12 +153,6 @@ def _divisibility_condition(name: str, seq) -> bool:
     raise UnsupportedSequenceError(f"no reflexivity characterization for class {name}")
 
 
-def _unreverse_point(s, point) -> tuple[int, ...]:
-    # inverse of the reversal equivalence at dilation 1
-    d = len(s)
-    return tuple(s[i] - point[d - 1 - i] for i in range(d))
-
-
 @dataclass(frozen=True)
 class Classification:
     s: tuple[int, ...]
@@ -192,8 +194,7 @@ def classify(s, budget=None) -> Classification:
     seq = check_s(s)
     d = len(seq)
     cls = sequence_class(seq)
-    _guard_ascent_enumeration(seq, 1, budget)
-    dv = deltas.delta_vector(seq)
+    dv = deltas.delta_vector(seq, budget=budget)
     fano_delta = dv[d] == 1
     reflexive_delta = deltas.is_symmetric(dv) and deltas.degree(dv) == d
 
@@ -220,7 +221,7 @@ def classify(s, budget=None) -> Classification:
         for name, rev in orientations:
             oriented = reverse(seq) if rev else seq
             p = _interior_point_formula(name, oriented)
-            points.add(_unreverse_point(seq, p) if rev else p)
+            points.add(reflect(oriented, p) if rev else p)
         if points:
             if len(points) != 1:
                 raise MathematicalInconsistencyError(
@@ -287,19 +288,6 @@ def reflexive(s, budget=None) -> Classification:
     return classify(s, budget=budget)
 
 
-def _guard_ascent_enumeration(seq, scale, budget) -> None:
-    if budget is None:
-        return
-    est = 1
-    for v in seq:
-        est *= scale * v
-    if est > budget:
-        raise BudgetExceededError(
-            f"enumerating {est} inversion sequences for {tuple(scale * v for v in seq)} "
-            f"exceeds budget {budget}"
-        )
-
-
 def gorenstein_index(s, budget=None, _delta=None) -> int | None:
     """Index c with c*P reflexive, or None.
 
@@ -309,15 +297,12 @@ def gorenstein_index(s, budget=None, _delta=None) -> int | None:
     """
     seq = check_s(s)
     d = len(seq)
-    if _delta is None:
-        _guard_ascent_enumeration(seq, 1, budget)
-    dv = deltas.delta_vector(seq) if _delta is None else _delta
+    dv = deltas.delta_vector(seq, budget=budget) if _delta is None else _delta
     if not deltas.is_symmetric(dv):
         return None
     c = d - deltas.degree(dv) + 1
     scaled = dilate(seq, c)
-    _guard_ascent_enumeration(seq, c, budget)
-    dv_scaled = deltas.delta_vector(scaled)
+    dv_scaled = deltas.delta_vector(scaled, budget=budget)
     if not (deltas.is_symmetric(dv_scaled) and deltas.degree(dv_scaled) == d):
         raise MathematicalInconsistencyError(
             f"delta of s={seq} is symmetric of degree {deltas.degree(dv)} but "

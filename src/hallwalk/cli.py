@@ -13,6 +13,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from itertools import product
+from math import prod
 from pathlib import Path
 
 from . import __version__
@@ -56,7 +57,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 def _cmd_delta(args) -> int:
     s = parse_s(args.s)
-    _emit({"s": list(s), "delta": list(delta_vector(s))})
+    _emit({"s": list(s), "delta": list(delta_vector(s, budget=_budget()))})
     return EXIT_OK
 
 
@@ -97,13 +98,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_triangulate(args) -> int:
     s = parse_s(args.s)
-    cells = 1
-    for v in s:
-        cells *= v
+    cells = prod(s)
     if cells > _budget():
         raise BudgetExceededError(f"triangulation of {s} has {cells} cells")
     tri = chimney_triangulation(s)
-    report = verify_triangulation(s, tri, samples=args.verify_samples, seed=args.seed)
+    report = verify_triangulation(s, tri)
     _emit({**tri.to_json(), "verification": report.to_json()})
     return EXIT_OK if report.ok else EXIT_INCONSISTENT
 
@@ -123,7 +122,7 @@ def search_record(s, budget=None, k_max=None) -> dict:
     """One sweep record: delta, classification, IDP verdict, witnesses."""
     record: dict = {"s": list(s), "version": __version__}
     try:
-        record["delta"] = list(delta_vector(s))
+        record["delta"] = list(delta_vector(s, budget=budget))
         record["classification"] = classify(s, budget=budget).to_json()
         idp_result = is_idp(s, k_max=k_max, budget=budget)
         record["idp_verdict"] = idp_result.ok
@@ -163,13 +162,48 @@ def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
             yield s
 
 
+def _is_whole_record(line: bytes) -> bool:
+    if not line.endswith(b"\n"):
+        return False
+    try:
+        json.loads(line)["s"]
+    except (ValueError, KeyError, TypeError):
+        return False
+    return True
+
+
+def _read_store(out: Path) -> dict[tuple, str]:
+    """Records of an existing store by sequence.
+
+    A crash can tear the final line; it is cut from the file so that its
+    record is computed again.  A malformed line anywhere else is an error.
+    """
+    data = out.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if lines and not _is_whole_record(lines[-1]):
+        data = data[: len(data) - len(lines[-1])]
+        with out.open("r+b") as store:
+            store.truncate(len(data))
+    existing: dict[tuple, str] = {}
+    for line in data.decode().splitlines():
+        if line.strip():
+            existing[tuple(json.loads(line)["s"])] = line
+    return existing
+
+
+def _replace_store(out: Path, text: str) -> None:
+    """Swap in the new store contents atomically, so a crash keeps the old or the new."""
+    temp = out.with_name(out.name + ".tmp")
+    with temp.open("w") as sink:
+        sink.write(text)
+        sink.flush()
+        os.fsync(sink.fileno())
+    os.replace(temp, out)
+
+
 def _cmd_search(args) -> int:
     out = Path(args.out)
-    existing: dict[tuple, str] = {}
-    if args.resume and out.exists():
-        for line in out.read_text().splitlines():
-            if line.strip():
-                existing[tuple(json.loads(line)["s"])] = line
+    existing = _read_store(out) if args.resume and out.exists() else {}
     budget = _budget()
     lines: dict[tuple, str] = dict(existing)
     witnesses = 0
@@ -186,7 +220,7 @@ def _cmd_search(args) -> int:
             new += 1
     witnesses = sum(1 for line in lines.values() if "witness" in json.loads(line))
     ordered = sorted(lines, key=lambda s: (len(s), s))
-    out.write_text("".join(lines[s] + "\n" for s in ordered))
+    _replace_store(out, "".join(lines[s] + "\n" for s in ordered))
     _emit(
         {
             "out": str(out),
@@ -228,8 +262,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("triangulate", help="unimodular chimney triangulation")
     p.add_argument("s")
-    p.add_argument("--verify-samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # the certificate is exact; these sampling options are still accepted for old callers
+    p.add_argument("--verify-samples", type=int, default=100, help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_triangulate)
 
     p = sub.add_parser("compose", help="free-sum composition of two sequences")

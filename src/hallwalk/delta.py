@@ -8,7 +8,9 @@ e_0 = 0, s_0 = 1.
 """
 
 from itertools import product
+from math import prod
 
+from .errors import BudgetExceededError
 from .polytope import check_s
 
 
@@ -34,10 +36,19 @@ def ascent_count(e, s) -> int:
     return count
 
 
-def delta_vector(s) -> tuple[int, ...]:
-    """(delta_0, ..., delta_d): ascent histogram over all inversion sequences."""
+def delta_vector(s, budget=None) -> tuple[int, ...]:
+    """(delta_0, ..., delta_d): ascent histogram over all inversion sequences.
+
+    Refuses up front when the prod(s_i) inversion sequences exceed `budget`;
+    None means unlimited.
+    """
     seq = check_s(s)
     d = len(seq)
+    total = prod(seq)
+    if budget is not None and total > budget:
+        raise BudgetExceededError(
+            f"enumerating {total} inversion sequences for {seq} exceeds budget {budget}"
+        )
     hist = [0] * (d + 1)
     for e in product(*(range(v) for v in seq)):
         count = 0

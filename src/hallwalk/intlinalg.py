@@ -45,85 +45,6 @@ def transpose(matrix):
     return [list(col) for col in zip(*matrix)]
 
 
-def _minor(rows, i, j):
-    return [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-_IDX4 = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-
-def inverse_unimodular(matrix):
-    """Integer inverse of a matrix with determinant +-1 (via the adjugate).
-
-    1/det == det when det is +-1, so the inverse stays integral.  Sizes up
-    to 4 use unrolled cofactors; larger sizes fall back to generic minors.
-    """
-    m, n = _as_square(matrix)
-    if n == 1:
-        det = m[0][0]
-        if det not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (determinant {det})")
-        return [[det]]
-    if n == 2:
-        a, b = m[0]
-        c, d = m[1]
-        det = a * d - b * c
-        if det not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (determinant {det})")
-        return [[det * d, -det * b], [-det * c, det * a]]
-    if n == 3:
-        det = _det3(m)
-        if det not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (determinant {det})")
-        return [
-            [
-                det * (m[1][1] * m[2][2] - m[1][2] * m[2][1]),
-                det * (m[0][2] * m[2][1] - m[0][1] * m[2][2]),
-                det * (m[0][1] * m[1][2] - m[0][2] * m[1][1]),
-            ],
-            [
-                det * (m[1][2] * m[2][0] - m[1][0] * m[2][2]),
-                det * (m[0][0] * m[2][2] - m[0][2] * m[2][0]),
-                det * (m[0][2] * m[1][0] - m[0][0] * m[1][2]),
-            ],
-            [
-                det * (m[1][0] * m[2][1] - m[1][1] * m[2][0]),
-                det * (m[0][1] * m[2][0] - m[0][0] * m[2][1]),
-                det * (m[0][0] * m[1][1] - m[0][1] * m[1][0]),
-            ],
-        ]
-    if n == 4:
-        det = determinant(m)
-        if det not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (determinant {det})")
-        inv = []
-        for i in range(4):
-            row = []
-            ci = _IDX4[i]
-            for j in range(4):
-                rj = _IDX4[j]
-                sub = [[m[r][c] for c in ci] for r in rj]
-                row.append(det * (-1) ** (i + j) * _det3(sub))
-            inv.append(row)
-        return inv
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (determinant {det})")
-    adj = [
-        [(-1) ** (i + j) * determinant(_minor(m, j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-    return [[det * adj[i][j] for j in range(n)] for i in range(n)]
-
-
 def edge_matrix(vertices):
     """Rows v_1 - v_0, ..., v_d - v_0 for a list of d+1 points."""
     base = vertices[0]

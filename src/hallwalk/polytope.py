@@ -87,15 +87,27 @@ def hrep(s, t: int = 1) -> list[HalfSpace]:
 
 
 def contains(s, point, t: int = 1, strict: bool = False) -> bool:
-    """Membership of a point (ints or Fractions) in t*P^(s)."""
+    """Membership of a point (ints or Fractions) in t*P^(s).
+
+    Evaluates the d+1 rows of `hrep` along the chain without building them.
+    """
     seq = check_s(s)
-    if len(point) != len(seq):
-        raise DimensionError(f"point has length {len(point)}, expected {len(seq)}")
-    for row in hrep(seq, t):
-        slack = row.slack(point)
-        if slack < 0 or (strict and slack == 0):
-            return False
-    return True
+    if t < 1:
+        raise ValueError(f"dilation factor must be >= 1, got {t}")
+    d = len(seq)
+    if len(point) != d:
+        raise DimensionError(f"point has length {len(point)}, expected {d}")
+    if strict:
+        return (
+            point[0] > 0
+            and all(seq[i + 1] * point[i] < seq[i] * point[i + 1] for i in range(d - 1))
+            and point[-1] < t * seq[-1]
+        )
+    return (
+        point[0] >= 0
+        and all(seq[i + 1] * point[i] <= seq[i] * point[i + 1] for i in range(d - 1))
+        and point[-1] <= t * seq[-1]
+    )
 
 
 def enumeration_estimate(s, t: int) -> int:

@@ -22,20 +22,24 @@ reduces to the base cell's (checked at build time anyway).
 Sequences whose ratios are integral in the reverse direction are handled
 by triangulating the reversed sequence and mapping back through the
 reversal equivalence.
+
+`verify_triangulation` certifies any claimed triangulation exactly, without
+sampling: unimodular cells inside P, as many of them as the normalized
+volume, and every wall either shared by two cells on opposite sides or
+lying in a facet of P.
 """
 
-import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
 from .errors import UnsupportedSequenceError
-from .intlinalg import determinant, edge_matrix, inverse_unimodular, simplex_is_unimodular
-from .polytope import check_s, reverse
+from .intlinalg import determinant, edge_matrix, simplex_is_unimodular
+from .polytope import check_s, contains, reflect, reverse
 
 Point = tuple[int, ...]
 Simplex = tuple[Point, ...]
+Wall = tuple[Point, ...]  # a simplex minus one vertex, sorted
 
 
 @dataclass(frozen=True)
@@ -61,18 +65,11 @@ def chimney_triangulation(s) -> Triangulation:
         return Triangulation(seq, tuple(_build(seq)))
     rev = reverse(seq)
     if _has_integer_ratios(rev):
-        mapped = [
-            tuple(_reflect_vertex(seq, v) for v in simplex) for simplex in _build(rev)
-        ]
+        mapped = [tuple(reflect(rev, v) for v in simplex) for simplex in _build(rev)]
         return Triangulation(seq, tuple(mapped))
     raise UnsupportedSequenceError(
         f"s={seq}: consecutive ratios are not integral in either direction"
     )
-
-
-def _reflect_vertex(seq, v) -> Point:
-    d = len(seq)
-    return tuple(seq[i] - v[d - 1 - i] for i in range(d))
 
 
 def _build(seq) -> list[Simplex]:
@@ -113,11 +110,11 @@ class VerificationReport:
     s: tuple[int, ...]
     simplex_count: int
     expected_count: int
-    samples_checked: int
     non_unimodular: list[int] = field(default_factory=list)
     outside: list[int] = field(default_factory=list)
-    uncovered: list[tuple] = field(default_factory=list)
-    multiply_covered: list[tuple] = field(default_factory=list)
+    unmatched_walls: list[Wall] = field(default_factory=list)
+    overfull_walls: list[Wall] = field(default_factory=list)
+    same_side_walls: list[Wall] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -125,289 +122,49 @@ class VerificationReport:
             self.simplex_count == self.expected_count
             and not self.non_unimodular
             and not self.outside
-            and not self.uncovered
-            and not self.multiply_covered
+            and not self.unmatched_walls
+            and not self.overfull_walls
+            and not self.same_side_walls
         )
 
     def to_json(self) -> dict:
+        def walls(found):
+            return [[list(v) for v in wall] for wall in found]
+
         return {
             "ok": self.ok,
             "simplex_count": self.simplex_count,
             "expected_count": self.expected_count,
-            "samples_checked": self.samples_checked,
             "non_unimodular": self.non_unimodular,
             "outside": self.outside,
-            "uncovered": [[str(c) for c in p] for p in self.uncovered],
-            "multiply_covered": [[str(c) for c in p] for p in self.multiply_covered],
+            "unmatched_walls": walls(self.unmatched_walls),
+            "overfull_walls": walls(self.overfull_walls),
+            "same_side_walls": walls(self.same_side_walls),
         }
 
 
-class _SimplexLocator:
-    """Exact point location against one simplex via its integer inverse.
-
-    For a unimodular simplex the edge matrix has an integer inverse, so the
-    barycentric coordinates of p = P/q are beta/q with beta integral; the
-    point is inside iff all beta >= 0 and sum(beta) <= q (strictly for the
-    interior).  Everything stays in integer arithmetic; `locate` returns
-    None (outside), "boundary", or "interior".  Dimensions up to 4 get
-    unrolled closures since point location dominates verification time.
-    """
-
-    __slots__ = ("base", "rows", "lo", "hi", "locate")
-
-    def __init__(self, simplex: Simplex):
-        self.base = simplex[0]
-        edges = edge_matrix(simplex)
-        self.rows = [tuple(row) for row in inverse_unimodular([list(col) for col in zip(*edges)])]
-        self.lo = tuple(min(v[i] for v in simplex) for i in range(len(self.base)))
-        self.hi = tuple(max(v[i] for v in simplex) for i in range(len(self.base)))
-        maker = _LOCATE_MAKERS.get(len(self.base))
-        if maker is not None:
-            self.locate = maker(self.base, self.rows, self.lo, self.hi)
-        else:
-            self.locate = self._locate_generic
-
-    def _locate_generic(self, nums, q):
-        base = self.base
-        lo = self.lo
-        hi = self.hi
-        d = len(nums)
-        for i in range(d):
-            n = nums[i]
-            if n < lo[i] * q or n > hi[i] * q:
-                return None
-        shifted = [nums[i] - base[i] * q for i in range(d)]
-        total = 0
-        boundary = False
-        for row in self.rows:
-            beta = 0
-            for j in range(d):
-                beta += row[j] * shifted[j]
-            if beta < 0:
-                return None
-            if beta == 0:
-                boundary = True
-            total += beta
-        if total > q:
-            return None
-        if total == q:
-            boundary = True
-        return "boundary" if boundary else "interior"
-
-
-def _make_locate1(base, rows, lo, hi):
-    (b0,) = base
-    ((a00,),) = rows
-    (l0,) = lo
-    (h0,) = hi
-
-    def locate(nums, q):
-        n0 = nums[0]
-        if n0 < l0 * q or n0 > h0 * q:
-            return None
-        beta0 = a00 * (n0 - b0 * q)
-        if beta0 < 0 or beta0 > q:
-            return None
-        return "boundary" if beta0 == 0 or beta0 == q else "interior"
-
-    return locate
-
-
-def _make_locate2(base, rows, lo, hi):
-    b0, b1 = base
-    (a00, a01), (a10, a11) = rows
-    l0, l1 = lo
-    h0, h1 = hi
-
-    def locate(nums, q):
-        n0, n1 = nums
-        if n0 < l0 * q or n0 > h0 * q or n1 < l1 * q or n1 > h1 * q:
-            return None
-        s0 = n0 - b0 * q
-        s1 = n1 - b1 * q
-        beta0 = a00 * s0 + a01 * s1
-        if beta0 < 0:
-            return None
-        beta1 = a10 * s0 + a11 * s1
-        if beta1 < 0:
-            return None
-        total = beta0 + beta1
-        if total > q:
-            return None
-        if beta0 == 0 or beta1 == 0 or total == q:
-            return "boundary"
-        return "interior"
-
-    return locate
-
-
-def _make_locate3(base, rows, lo, hi):
-    b0, b1, b2 = base
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
-    l0, l1, l2 = lo
-    h0, h1, h2 = hi
-
-    def locate(nums, q):
-        n0, n1, n2 = nums
-        if (
-            n0 < l0 * q
-            or n0 > h0 * q
-            or n1 < l1 * q
-            or n1 > h1 * q
-            or n2 < l2 * q
-            or n2 > h2 * q
-        ):
-            return None
-        s0 = n0 - b0 * q
-        s1 = n1 - b1 * q
-        s2 = n2 - b2 * q
-        beta0 = a00 * s0 + a01 * s1 + a02 * s2
-        if beta0 < 0:
-            return None
-        beta1 = a10 * s0 + a11 * s1 + a12 * s2
-        if beta1 < 0:
-            return None
-        beta2 = a20 * s0 + a21 * s1 + a22 * s2
-        if beta2 < 0:
-            return None
-        total = beta0 + beta1 + beta2
-        if total > q:
-            return None
-        if beta0 == 0 or beta1 == 0 or beta2 == 0 or total == q:
-            return "boundary"
-        return "interior"
-
-    return locate
-
-
-def _make_locate4(base, rows, lo, hi):
-    b0, b1, b2, b3 = base
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-    l0, l1, l2, l3 = lo
-    h0, h1, h2, h3 = hi
-
-    def locate(nums, q):
-        n0, n1, n2, n3 = nums
-        if (
-            n0 < l0 * q
-            or n0 > h0 * q
-            or n1 < l1 * q
-            or n1 > h1 * q
-            or n2 < l2 * q
-            or n2 > h2 * q
-            or n3 < l3 * q
-            or n3 > h3 * q
-        ):
-            return None
-        s0 = n0 - b0 * q
-        s1 = n1 - b1 * q
-        s2 = n2 - b2 * q
-        s3 = n3 - b3 * q
-        beta0 = a00 * s0 + a01 * s1 + a02 * s2 + a03 * s3
-        if beta0 < 0:
-            return None
-        beta1 = a10 * s0 + a11 * s1 + a12 * s2 + a13 * s3
-        if beta1 < 0:
-            return None
-        beta2 = a20 * s0 + a21 * s1 + a22 * s2 + a23 * s3
-        if beta2 < 0:
-            return None
-        beta3 = a30 * s0 + a31 * s1 + a32 * s2 + a33 * s3
-        if beta3 < 0:
-            return None
-        total = beta0 + beta1 + beta2 + beta3
-        if total > q:
-            return None
-        if beta0 == 0 or beta1 == 0 or beta2 == 0 or beta3 == 0 or total == q:
-            return "boundary"
-        return "interior"
-
-    return locate
-
-
-_LOCATE_MAKERS = {1: _make_locate1, 2: _make_locate2, 3: _make_locate3, 4: _make_locate4}
-
-
-def _sample_points(seq, samples: int, seed: int):
-    """Deterministic exact rational points of P^(s).
-
-    Built down the chain so membership holds by construction; the small
-    denominators land many samples on cell walls, which is exactly where
-    gluing bugs would show.
-    """
-    rng = random.Random(seed)
-    denominators = (1, 2, 3, 4, 5, 7, 8, 16)
+def _in_facet(seq, wall: Wall) -> bool:
+    """Do all points of the wall lie on one facet of P^(s)?"""
     d = len(seq)
-    for _ in range(samples):
-        point = [Fraction(0)] * d
-        hi = Fraction(seq[d - 1])
-        for i in range(d - 1, -1, -1):
-            den = rng.choice(denominators)
-            point[i] = hi * Fraction(rng.randint(0, den), den)
-            if i:
-                hi = point[i] * Fraction(seq[i - 1], seq[i])
-        yield tuple(point)
+    if all(v[0] == 0 for v in wall) or all(v[-1] == seq[-1] for v in wall):
+        return True
+    return any(
+        all(seq[i + 1] * v[i] == seq[i] * v[i + 1] for v in wall) for i in range(d - 1)
+    )
 
 
-def _footprint_cells(locator: _SimplexLocator):
-    # unit cells of the bounding box in all but the last coordinate; the
-    # last (chimney) direction is handled by sorted scanning instead
-    cells = [()]
-    for lo, hi in zip(locator.lo[:-1], locator.hi[:-1]):
-        cells = [c + (v,) for c in cells for v in range(lo, hi + 1)]
-    return cells
+def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
+    """Exact certificate that the simplices triangulate P^(s).
 
-
-class _Column:
-    """Locators sharing a footprint cell, ordered by their bottom height.
-
-    A sample with last coordinate y = y_num/q can only be contained in
-    locators whose bottom is <= y; scanning those backwards stops as soon
-    as the running maximum of the tops drops below y.
-    """
-
-    __slots__ = ("locators", "bottoms", "max_top")
-
-    def __init__(self, locators):
-        self.locators = sorted(locators, key=lambda loc: loc.lo[-1])
-        self.bottoms = [loc.lo[-1] for loc in self.locators]
-        self.max_top = []
-        running = None
-        for loc in self.locators:
-            running = loc.hi[-1] if running is None else max(running, loc.hi[-1])
-            self.max_top.append(running)
-
-    def candidates(self, y_num, q):
-        y_floor, rem = divmod(y_num, q)
-        idx = bisect_right(self.bottoms, y_floor) - 1
-        threshold = y_floor if rem == 0 else y_floor + 1
-        max_top = self.max_top
-        locators = self.locators
-        while idx >= 0:
-            if max_top[idx] < threshold:
-                return
-            yield locators[idx]
-            idx -= 1
-
-
-def _integral_member(seq, point, t: int) -> bool:
-    """Integer-point membership in t*P^(s) straight from the chain."""
-    if point[0] < 0:
-        return False
-    for i in range(len(seq) - 1):
-        if point[i] * seq[i + 1] > point[i + 1] * seq[i]:
-            return False
-    return point[-1] <= t * seq[-1]
-
-
-def verify_triangulation(s, triangulation: Triangulation, samples: int = 100, seed: int = 0) -> VerificationReport:
-    """Independent certification of a claimed unimodular triangulation.
-
-    Checks, in order: every simplex has determinant +-1; the simplex count
-    equals prod(s_i) (the normalized volume of P); every simplex lies in P
-    (vertices and barycenter); and `samples` exact rational points of P are
-    each covered by at least one simplex, with points interior to some
-    simplex covered exactly once.
+    Every simplex must have determinant +-1 and its vertices must lie in P,
+    and there must be prod(s_i) of them, the normalized volume of P.  Each
+    wall (a simplex minus one vertex) must then either be shared by exactly
+    two simplices with their apexes on opposite sides, or belong to one
+    simplex and lie in a facet of P.  Cells that agree on every wall cover
+    P with constant multiplicity, and equal volume makes it one, so this
+    proves a triangulation (De Loera, Rambau and Santos, Triangulations,
+    2010, ch. 4).  Since P is convex, vertices inside P put the whole
+    simplex inside.
     """
     seq = check_s(s)
     d = len(seq)
@@ -415,50 +172,31 @@ def verify_triangulation(s, triangulation: Triangulation, samples: int = 100, se
         s=seq,
         simplex_count=len(triangulation.simplices),
         expected_count=prod(seq),
-        samples_checked=0,
     )
-    by_footprint: dict[tuple, list[_SimplexLocator]] = {}
+    # wall -> apex sides; the side is the sign of det(wall_1 - wall_0, ...,
+    # apex - wall_0) for the sorted wall, read off the sorted cell's sign
+    sides: dict[Wall, list[int]] = {}
     for idx, simplex in enumerate(triangulation.simplices):
-        if len(simplex) != d + 1 or abs(determinant(edge_matrix(simplex))) != 1:
+        cell = sorted(simplex)
+        if len(cell) != d + 1 or any(len(v) != d for v in cell):
             report.non_unimodular.append(idx)
             continue
-        inside = all(_integral_member(seq, v, 1) for v in simplex)
-        if inside:
-            # the scaled barycenter sum(v) lies in (d+1)*P iff the barycenter is in P
-            sums = tuple(sum(v[i] for v in simplex) for i in range(d))
-            inside = _integral_member(seq, sums, d + 1)
-        if not inside:
-            report.outside.append(idx)
+        det = determinant(edge_matrix(cell))
+        if abs(det) != 1:
+            report.non_unimodular.append(idx)
             continue
-        locator = _SimplexLocator(simplex)
-        for cell in _footprint_cells(locator):
-            by_footprint.setdefault(cell, []).append(locator)
-    columns = {cell: _Column(locs) for cell, locs in by_footprint.items()}
-
-    for point in _sample_points(seq, samples, seed):
-        report.samples_checked += 1
-        q = 1
-        for c in point:
-            q = q * c.denominator // _gcd(q, c.denominator)
-        nums = tuple(int(c * q) for c in point)
-        column = columns.get(tuple(n // q for n in nums[:-1]))
-        hits = 0
-        interior_hit = False
-        if column is not None:
-            for locator in column.candidates(nums[-1], q):
-                where = locator.locate(nums, q)
-                if where is not None:
-                    hits += 1
-                    if where == "interior":
-                        interior_hit = True
-        if hits == 0:
-            report.uncovered.append(point)
-        elif interior_hit and hits > 1:
-            report.multiply_covered.append(point)
+        if not all(contains(seq, v) for v in cell):
+            report.outside.append(idx)
+        for k in range(d + 1):
+            # moving the dropped vertex k to the end takes d - k transpositions
+            side = det if (d - k) % 2 == 0 else -det
+            sides.setdefault(tuple(cell[:k] + cell[k + 1 :]), []).append(side)
+    for wall, held in sides.items():
+        if len(held) > 2:
+            report.overfull_walls.append(wall)
+        elif len(held) == 2:
+            if held[0] == held[1]:
+                report.same_side_walls.append(wall)
+        elif not _in_facet(seq, wall):
+            report.unmatched_walls.append(wall)
     return report
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -1,4 +1,8 @@
 import json
+import signal
+import time
+
+import pytest
 
 from hallwalk.cli import main, search_record
 
@@ -58,6 +62,14 @@ def test_triangulate_command(capsys):
     payload = out_json(capsys, "triangulate", "1,2", "--verify-samples", "60", "--seed", "4")
     assert payload["simplices"] == [[[0, 0], [1, 2], [0, 1]], [[0, 1], [1, 2], [0, 2]]]
     assert payload["verification"]["ok"] is True
+    assert out_json(capsys, "triangulate", "1,2") == payload
+
+
+def test_triangulate_help_hides_sampling_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["triangulate", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--verify-samples" not in help_text and "--seed" not in help_text
 
 
 def test_compose_commands(capsys):
@@ -103,6 +115,31 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+class _Expired(Exception):
+    pass
+
+
+def test_delta_refuses_over_budget_quickly(capsys, monkeypatch):
+    # 20^6 inversion sequences would take minutes; the alarm turns a missing
+    # budget check into a failure instead of a hang
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+
+    def expire(signum, frame):
+        raise _Expired("delta ran for 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, "delta", "20,20,20,20,20,20")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+
+
 def test_search_exhaustive_counts(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     payload = out_json(capsys, "search", "--dmax", "3", "--smax", "3", "--out", str(out))
@@ -131,6 +168,34 @@ def test_search_resume_completes_partial_sweep(tmp_path, capsys):
     assert payload["new_records"] == 4
     out_json(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(full))
     assert strip_timestamps(partial) == strip_timestamps(full)
+
+
+def test_search_resume_recovers_from_a_torn_store(tmp_path, capsys):
+    full = tmp_path / "full.jsonl"
+    out_json(capsys, "search", "--dmax", "3", "--smax", "3", "--out", str(full))
+    data = full.read_bytes()
+    boundary = data.index(b"\n", len(data) // 2) + 1
+    offsets = [0, 1, len(data) // 3, boundary - 1, boundary, boundary + 1, len(data) - 40, len(data) - 1]
+    for offset in offsets:
+        torn = tmp_path / f"torn-{offset}.jsonl"
+        torn.write_bytes(data[:offset])
+        payload = out_json(capsys, "search", "--dmax", "3", "--smax", "3", "--out", str(torn), "--resume")
+        assert payload["records"] == 39, offset
+        assert strip_timestamps(torn) == strip_timestamps(full), offset
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["full.jsonl"] + [f"torn-{offset}.jsonl" for offset in offsets]
+    )
+
+
+def test_search_resume_rejects_a_malformed_inner_line(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out_json(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(out))
+    lines = out.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    out.write_text("".join(lines))
+    code, _, err = run(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(out), "--resume")
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_search_random_mode_is_seeded(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from hallwalk.errors import DimensionError
 from hallwalk.intlinalg import (
     determinant,
-    inverse_unimodular,
     lattice_index,
     simplex_is_unimodular,
     transpose,
@@ -77,19 +76,6 @@ def test_simplex_unimodularity():
 def test_simplex_wrong_count():
     with pytest.raises(DimensionError):
         simplex_is_unimodular([(0, 0), (1, 0)])
-
-
-def test_inverse_unimodular_roundtrip():
-    rng = random.Random(3)
-    found = 0
-    while found < 25:
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if abs(determinant(m)) != 1:
-            continue
-        found += 1
-        identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        assert matmul(inverse_unimodular(m), m) == identity
 
 
 def test_xgcd():
