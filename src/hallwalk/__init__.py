@@ -1,11 +1,11 @@
 """Exact computations on s-lecture hall polytopes.
 
-Library layers: `polytope` (vertices, facets, membership, lattice points),
-`delta` (ascent-statistic delta-vectors), `ehrhart` (independent counting
-oracle), `classify` (Fano/reflexive/Gorenstein), `idp` (integer
-decomposition property), `triangulate` (unimodular chimney
-triangulations), `freesum` (composition constructions), `cli` (command
-line and sweep store).
+Library layers: `polytope` (vertices, facets, membership, lattice points,
+point counts, the work budget), `delta` (ascent-statistic delta-vectors),
+`ehrhart` (independent counting oracle), `classify`
+(Fano/reflexive/Gorenstein), `idp` (integer decomposition property),
+`triangulate` (unimodular chimney triangulations), `freesum` (composition
+constructions), `cli` (command line and sweep store).
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ from .classify import (
 )
 from .delta import ascent_count, delta_vector, is_symmetric, is_unimodal
 from .ehrhart import (
-    DEFAULT_BUDGET,
     EhrhartData,
     count,
     delta_from_counts,
@@ -48,6 +47,7 @@ from .freesum import (
 from .idp import Decomposition, IdpResult, decompose, greedy_peel, is_idp
 from .intlinalg import determinant, simplex_is_unimodular
 from .polytope import (
+    DEFAULT_BUDGET,
     HalfSpace,
     check_s,
     contains,

@@ -278,16 +278,6 @@ def classify(s, budget=None) -> Classification:
     )
 
 
-def fano(s, budget=None) -> Classification:
-    """Classification with the Fano fields populated (full run; it is cheap)."""
-    return classify(s, budget=budget)
-
-
-def reflexive(s, budget=None) -> Classification:
-    """Classification with the reflexive fields populated."""
-    return classify(s, budget=budget)
-
-
 def gorenstein_index(s, budget=None, _delta=None) -> int | None:
     """Index c with c*P reflexive, or None.
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .classify import classify
 from .delta import delta_vector
-from .ehrhart import DEFAULT_BUDGET, ehrhart_data
+from .ehrhart import ehrhart_data
 from .errors import (
     BudgetExceededError,
     HallwalkError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .freesum import gorenstein_compose, idp_compose
 from .idp import decompose, is_idp
-from .polytope import parse_s
+from .polytope import DEFAULT_BUDGET, check_budget, parse_s
 from .triangulate import chimney_triangulation, verify_triangulation
 
 EXIT_OK = 0
@@ -98,9 +98,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_triangulate(args) -> int:
     s = parse_s(args.s)
-    cells = prod(s)
-    if cells > _budget():
-        raise BudgetExceededError(f"triangulation of {s} has {cells} cells")
+    check_budget(prod(s), _budget(), f"triangulating P^{s}")
     tri = chimney_triangulation(s)
     report = verify_triangulation(s, tri)
     _emit({**tri.to_json(), "verification": report.to_json()})

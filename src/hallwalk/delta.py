@@ -10,8 +10,7 @@ e_0 = 0, s_0 = 1.
 from itertools import product
 from math import prod
 
-from .errors import BudgetExceededError
-from .polytope import check_s
+from .polytope import check_budget, check_s
 
 
 def inversion_sequences(s):
@@ -44,11 +43,7 @@ def delta_vector(s, budget=None) -> tuple[int, ...]:
     """
     seq = check_s(s)
     d = len(seq)
-    total = prod(seq)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"enumerating {total} inversion sequences for {seq} exceeds budget {budget}"
-        )
+    check_budget(prod(seq), budget, f"enumerating the inversion sequences of {seq}")
     hist = [0] * (d + 1)
     for e in product(*(range(v) for v in seq)):
         count = 0

@@ -1,8 +1,9 @@
 """Independent brute-force Ehrhart oracle.
 
-Counts lattice points of dilates directly from the defining chain, recovers
-the delta-vector by the alternating binomial transform of the first d+1
-counts, and interpolates the counting polynomial with exact rationals.
+Counts lattice points of dilates directly from the defining chain
+(`polytope.count`, re-exported here), recovers the delta-vector by the
+alternating binomial transform of the first d+1 counts, and interpolates
+the counting polynomial with exact rationals.
 This module never looks at inversion sequences, so it cross-checks the
 ascent route in `delta`.
 """
@@ -12,38 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InconsistentCountsError, PreconditionError
-from .polytope import check_budget, check_s, enumeration_estimate
-
-DEFAULT_BUDGET = 10_000_000
-
-
-def resolve_budget(budget) -> int:
-    return DEFAULT_BUDGET if budget is None else int(budget)
-
-
-def count(s, t: int, budget=None) -> int:
-    """Number of lattice points of t*P^(s); 1 for t = 0.
-
-    Computed level by level with prefix sums over the chain bounds, which
-    agrees with len(lattice_points(s, t)) but never materializes points.
-    """
-    seq = check_s(s)
-    if t < 0:
-        raise ValueError(f"dilation factor must be >= 0, got {t}")
-    if t == 0:
-        return 1
-    check_budget(enumeration_estimate(seq, t), resolve_budget(budget))
-    # counts[v] = number of admissible prefixes (x_1, ..., x_i) with x_i = v
-    counts = [1] * (t * seq[0] + 1)
-    for i in range(1, len(seq)):
-        prefix = [0] * len(counts)
-        running = 0
-        for v, c in enumerate(counts):
-            running += c
-            prefix[v] = running
-        top = t * seq[i]
-        counts = [prefix[min(w * seq[i - 1] // seq[i], len(prefix) - 1)] for w in range(top + 1)]
-    return sum(counts)
+from .polytope import check_s, count
 
 
 def dilate_counts(s, tmax=None, budget=None) -> list[int]:
@@ -88,9 +58,13 @@ def ehrhart_polynomial(s, budget=None) -> tuple[Fraction, ...]:
     Newton forward differences on the exact counts at t = 0..d; the leading
     coefficient is the volume (prod s_i) / d!.
     """
-    seq = check_s(s)
-    d = len(seq)
-    table = [Fraction(c) for c in dilate_counts(seq, budget=budget)]
+    return _interpolate(dilate_counts(s, budget=budget))
+
+
+def _interpolate(counts) -> tuple[Fraction, ...]:
+    """Polynomial through (t, counts[t]) for t = 0..len(counts)-1."""
+    d = len(counts) - 1
+    table = [Fraction(c) for c in counts]
     diffs = []
     for _ in range(d + 1):
         diffs.append(table[0])
@@ -140,7 +114,7 @@ def ehrhart_data(s, tmax=None, budget=None) -> EhrhartData:
     d = len(seq)
     top = d if tmax is None else max(int(tmax), d)
     counts = dilate_counts(seq, tmax=top, budget=budget)
-    poly = ehrhart_polynomial(seq, budget=budget)
+    poly = _interpolate(counts[: d + 1])
     for t in range(d + 1, top + 1):
         value = evaluate(poly, t)
         if value != counts[t]:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from .classify import gorenstein_index
 from .delta import delta_vector
-from .ehrhart import delta_from_counts, resolve_budget
+from .ehrhart import delta_from_counts
 from .errors import MathematicalInconsistencyError, PreconditionError
 from .idp import IdpResult, is_idp
 from .intlinalg import lattice_index
-from .polytope import check_budget, check_s, enumeration_estimate, hrep, lattice_points, reverse
+from .polytope import check_budget, check_s, hrep, lattice_points, reverse
 
 
 def free_sum(p_vertices, q_vertices) -> list[tuple[int, ...]]:
@@ -55,9 +55,9 @@ def _free_sum_counts(s, t_rev, kmax, budget) -> list[int]:
     sd = s[-1]
     ue = t_rev[-1]
     for k in range(1, kmax + 1):
-        check_budget(enumeration_estimate(s, k) * enumeration_estimate(t_rev, k), budget)
         left = lattice_points(s, k, budget=budget)
         right = lattice_points(t_rev, k, budget=budget)
+        check_budget(len(left) * len(right), budget, f"the free-sum count at k={k}")
         total = 0
         for x in left:
             room = k * sd * ue - x[-1] * ue
@@ -82,23 +82,25 @@ def check_decomposition(s, t, budget=None) -> bool:
     """Verify the free-sum split of P^((s,t)): lattice points and delta agree."""
     s = check_s(s)
     t = check_s(t)
-    budget = resolve_budget(budget)
     composite = s + t
     t_rev = reverse(t)
     dim = len(composite)
 
     mapped = {split_map(s, t, p) for p in lattice_points(composite, 1, budget=budget)}
+    left = lattice_points(s, 1, budget=budget)
+    right = lattice_points(t_rev, 1, budget=budget)
+    check_budget(len(left) * len(right), budget, f"splitting P^{composite}")
     direct = set()
     sd, ue = s[-1], t_rev[-1]
-    for x in lattice_points(s, 1, budget=budget):
-        for y in lattice_points(t_rev, 1, budget=budget):
+    for x in left:
+        for y in right:
             if x[-1] * ue + y[-1] * sd <= sd * ue:
                 direct.add(x + y)
     if mapped != direct:
         return False
 
     counts = _free_sum_counts(s, t_rev, dim, budget)
-    return delta_from_counts(counts) == delta_vector(composite)
+    return delta_from_counts(counts) == delta_vector(composite, budget=budget)
 
 
 def braun_condition(s) -> bool:
@@ -151,9 +153,9 @@ def gorenstein_compose(s, t, budget=None) -> GorensteinComposition:
         raise PreconditionError(f"{side} sequence is not Gorenstein")
     composite = composite_sequence(s, t)
     predicted = k + l
-    product = poly_mul(delta_vector(s), delta_vector(t))
+    product = poly_mul(delta_vector(s, budget=budget), delta_vector(t, budget=budget))
     product = product + (0,) * (len(composite) + 1 - len(product))
-    delta_ok = delta_vector(composite) == product
+    delta_ok = delta_vector(composite, budget=budget) == product
     confirmed = gorenstein_index(composite, budget=budget)
     return GorensteinComposition(composite, predicted, confirmed, delta_ok)
 

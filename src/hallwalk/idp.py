@@ -15,9 +15,8 @@ which is equivalent to full decomposability by induction on k.
 
 from dataclasses import dataclass
 
-from .ehrhart import resolve_budget
-from .errors import BudgetExceededError, MathematicalInconsistencyError, PreconditionError, UnsupportedSequenceError
-from .polytope import check_s, contains, lattice_points, reflect, reverse
+from .errors import MathematicalInconsistencyError, PreconditionError, UnsupportedSequenceError
+from .polytope import check_budget, check_s, contains, lattice_points, reflect, reverse
 
 
 def _require_weakly_increasing(seq) -> None:
@@ -129,15 +128,11 @@ def is_idp(s, k_max=None, budget=None) -> IdpResult:
     top = max(2, d - 1) if k_max is None else int(k_max)
     if top < 2:
         raise PreconditionError(f"k_max must be >= 2, got {k_max}")
-    budget = resolve_budget(budget)
     ground = lattice_points(seq, 1, budget=budget)
     lower = ground
     for k in range(2, top + 1):
+        check_budget(len(lower) * len(ground), budget, f"the sumset of {seq} at k={k}")
         targets = lattice_points(seq, k, budget=budget)
-        if len(lower) * len(ground) > budget:
-            raise BudgetExceededError(
-                f"sumset at k={k} needs {len(lower) * len(ground)} additions"
-            )
         witness = first_undecomposable(targets, lower, ground)
         if witness is not None:
             return IdpResult(False, k, witness)

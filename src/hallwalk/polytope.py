@@ -110,19 +110,42 @@ def contains(s, point, t: int = 1, strict: bool = False) -> bool:
     )
 
 
-def enumeration_estimate(s, t: int) -> int:
-    """Bounding-box cost estimate for enumerating t*P^(s)."""
-    est = 1
-    for v in check_s(s):
-        est *= t * v + 1
-    return est
+DEFAULT_BUDGET = 10_000_000
 
 
-def check_budget(estimate: int, budget) -> None:
-    if budget is not None and estimate > budget:
-        raise BudgetExceededError(
-            f"estimated {estimate} enumeration steps exceeds budget {budget}"
-        )
+def check_budget(cost: int, budget, what: str) -> None:
+    """Refuse work of `cost` steps over `budget` before doing it; None means unlimited.
+
+    Every guard in the package calls this with the exact size of the work
+    it is about to do.
+    """
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(f"{what} takes {cost} steps, over budget {budget}")
+
+
+def count(s, t: int, budget=None) -> int:
+    """Number of lattice points of t*P^(s); 1 for t = 0.
+
+    Computed level by level with prefix sums over the chain bounds, which
+    agrees with len(lattice_points(s, t)) but never materializes points.
+    """
+    seq = check_s(s)
+    if t < 0:
+        raise ValueError(f"dilation factor must be >= 0, got {t}")
+    if t == 0:
+        return 1
+    check_budget(sum(t * v + 1 for v in seq), budget, f"counting the points of {t}*P^{seq}")
+    # counts[v] = number of admissible prefixes (x_1, ..., x_i) with x_i = v
+    counts = [1] * (t * seq[0] + 1)
+    for i in range(1, len(seq)):
+        prefix = [0] * len(counts)
+        running = 0
+        for v, c in enumerate(counts):
+            running += c
+            prefix[v] = running
+        top = t * seq[i]
+        counts = [prefix[min(w * seq[i - 1] // seq[i], len(prefix) - 1)] for w in range(top + 1)]
+    return sum(counts)
 
 
 def lattice_points(s, t: int = 1, budget=None) -> list[tuple[int, ...]]:
@@ -130,6 +153,7 @@ def lattice_points(s, t: int = 1, budget=None) -> list[tuple[int, ...]]:
 
     Recursion descends from x_d with the chain bound
     x_i <= floor(s_i * x_{i+1} / s_{i+1}); only feasible nodes are visited.
+    Refused when the number of points, found by `count`, exceeds `budget`.
     """
     seq = check_s(s)
     if t < 0:
@@ -137,7 +161,7 @@ def lattice_points(s, t: int = 1, budget=None) -> list[tuple[int, ...]]:
     d = len(seq)
     if t == 0:
         return [tuple([0] * d)]
-    check_budget(enumeration_estimate(seq, t), budget)
+    check_budget(count(seq, t), budget, f"listing the points of {t}*P^{seq}")
     out: list[tuple[int, ...]] = []
     point = [0] * d
 

@@ -31,6 +31,7 @@ lying in a facet of P.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from .errors import UnsupportedSequenceError
@@ -176,6 +177,7 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     # wall -> apex sides; the side is the sign of det(wall_1 - wall_0, ...,
     # apex - wall_0) for the sorted wall, read off the sorted cell's sign
     sides: dict[Wall, list[int]] = {}
+    inside = cache(lambda v: contains(seq, v))  # cells share their vertices
     for idx, simplex in enumerate(triangulation.simplices):
         cell = sorted(simplex)
         if len(cell) != d + 1 or any(len(v) != d for v in cell):
@@ -185,7 +187,7 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
         if abs(det) != 1:
             report.non_unimodular.append(idx)
             continue
-        if not all(contains(seq, v) for v in cell):
+        if not all(inside(v) for v in cell):
             report.outside.append(idx)
         for k in range(d + 1):
             # moving the dropped vertex k to the end takes d - k transpositions

@@ -65,6 +65,16 @@ def test_triangulate_command(capsys):
     assert out_json(capsys, "triangulate", "1,2") == payload
 
 
+def test_triangulate_budget_is_the_cell_count(capsys, monkeypatch):
+    # P^(2,4) has 2 * 4 = 8 cells
+    monkeypatch.setenv("HALLWALK_BUDGET", "7")
+    code, _, err = run(capsys, "triangulate", "2,4")
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+    monkeypatch.setenv("HALLWALK_BUDGET", "8")
+    assert out_json(capsys, "triangulate", "2,4")["verification"]["ok"] is True
+
+
 def test_triangulate_help_hides_sampling_options(capsys):
     with pytest.raises(SystemExit):
         main(["triangulate", "--help"])
@@ -119,25 +129,56 @@ class _Expired(Exception):
     pass
 
 
-def test_delta_refuses_over_budget_quickly(capsys, monkeypatch):
-    # 20^6 inversion sequences would take minutes; the alarm turns a missing
-    # budget check into a failure instead of a hang
-    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+def run_within(capsys, seconds, *argv):
+    """run(), but a missing budget check fails after `seconds` instead of hanging."""
 
     def expire(signum, frame):
-        raise _Expired("delta ran for 1 s")
+        raise _Expired(f"{argv[0]} ran for {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     start = time.perf_counter()
     try:
-        code, _, err = run(capsys, "delta", "20,20,20,20,20,20")
+        code, out, err = run(capsys, *argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < seconds
+    return code, out, err
+
+
+def test_delta_refuses_over_budget_quickly(capsys, monkeypatch):
+    # 20^6 inversion sequences would take minutes
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 1.0, "delta", "20,20,20,20,20,20")
     assert code == 3
     assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def test_compose_refuses_over_budget_quickly(capsys, monkeypatch):
+    # the composite's delta enumerates (2*3*4*5*6*7)^2 = 25,401,600 inversion sequences
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    side = "2,3,4,5,6,7"
+    code, _, err = run_within(
+        capsys, 1.0, "compose", "--left", side, "--right", side, "--mode", "gorenstein"
+    )
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def test_idp_default_budget_admits_a_cheap_sumset(capsys, monkeypatch):
+    # a bounding box put this at 11,534,336 steps; its largest sumset has 796,068 sums
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, out, _ = run(capsys, "idp", "2,3,3,3,3,3")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
+def test_ehrhart_default_budget_admits_a_cheap_count(capsys, monkeypatch):
+    # a bounding box put the count of 5*P at 5001^5 steps; the prefix sums take 5 * 5001
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    payload = out_json(capsys, "ehrhart", "1000,1000,1000,1000,1000")
+    assert sum(payload["delta"]) == 1000**5
 
 
 def test_search_exhaustive_counts(tmp_path, capsys):

@@ -4,6 +4,7 @@ from math import factorial, prod
 
 import pytest
 
+from hallwalk import ehrhart
 from hallwalk.delta import delta_vector
 from hallwalk.ehrhart import (
     count,
@@ -78,6 +79,25 @@ def test_ehrhart_data_bundle():
     assert js["counts"][:3] == [1, 7, 19]
 
 
+def test_ehrhart_data_counts_each_dilate_once(monkeypatch):
+    counted = []
+
+    def counting(s, t, budget=None):
+        counted.append(t)
+        return count(s, t, budget=budget)
+
+    monkeypatch.setattr(ehrhart, "count", counting)
+    data = ehrhart_data((2, 3), tmax=4)
+    assert counted == [0, 1, 2, 3, 4]
+    assert data.polynomial == ehrhart_polynomial((2, 3))
+
+
 def test_budget_refusal():
+    # the prefix-sum count of 4*P^(30,30,30,30) takes 4 * (4*30 + 1) = 484 steps
     with pytest.raises(BudgetExceededError):
-        count((30, 30, 30, 30), 4, budget=1000)
+        count((30, 30, 30, 30), 4, budget=483)
+    assert count((30, 30, 30, 30), 4, budget=484) == count((30, 30, 30, 30), 4)
+
+
+def test_no_budget_means_unlimited():
+    assert count((1000, 1000, 1000, 1000, 1000), 5) == 26119880255219751

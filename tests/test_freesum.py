@@ -4,7 +4,7 @@ import pytest
 
 from hallwalk.classify import gorenstein_index
 from hallwalk.delta import delta_vector, degree, is_symmetric
-from hallwalk.errors import PreconditionError
+from hallwalk.errors import BudgetExceededError, PreconditionError
 from hallwalk.freesum import (
     braun_condition,
     check_decomposition,
@@ -17,7 +17,7 @@ from hallwalk.freesum import (
     split_map,
 )
 from hallwalk.idp import is_idp
-from hallwalk.polytope import lattice_points
+from hallwalk.polytope import count, lattice_points
 
 
 def small_sequences(dmax, smax):
@@ -55,6 +55,17 @@ def test_check_decomposition_small_exhaustive():
     for s in small_sequences(2, 3):
         for t in small_sequences(2, 3):
             assert check_decomposition(s, t), (s, t)
+
+
+def test_check_decomposition_budget_is_the_largest_pairing():
+    # the count of the third dilate pairs all 37 points of 3*P^(2,3) with all 7 of 3*P^(2)
+    cost = count((2, 3), 3) * count((2,), 3)
+    with pytest.raises(BudgetExceededError):
+        check_decomposition((2, 3), (2,), budget=cost - 1)
+    assert check_decomposition((2, 3), (2,), budget=cost)
+    # P^(2,3,2) has 10 points, but splitting it pairs the 7 points of P^(2,3) with the 3 of P^(2)
+    with pytest.raises(BudgetExceededError, match="splitting"):
+        check_decomposition((2, 3), (2,), budget=20)
 
 
 def test_braun_condition():

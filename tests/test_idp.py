@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from hallwalk import DEFAULT_BUDGET, idp
 from hallwalk.errors import BudgetExceededError, PreconditionError, UnsupportedSequenceError
 from hallwalk.idp import decompose, first_undecomposable, greedy_peel, is_idp
 from hallwalk.polytope import contains, lattice_points
@@ -87,6 +88,20 @@ def test_is_idp_default_and_custom_k():
 def test_is_idp_budget():
     with pytest.raises(BudgetExceededError):
         is_idp((6, 6, 6, 6), budget=500)
+
+
+def test_is_idp_budget_is_the_sumset_size():
+    # P^(2,3) has 7 points, so the sumset at k=2 forms 49 sums
+    with pytest.raises(BudgetExceededError):
+        is_idp((2, 3), budget=48)
+    assert is_idp((2, 3), budget=49).ok
+
+
+def test_default_budget_refuses_no_small_sequence(monkeypatch):
+    # the guards alone are under test, so the sumset itself is skipped
+    monkeypatch.setattr(idp, "first_undecomposable", lambda targets, lower, ground: None)
+    for s in product(range(1, 4), repeat=6):
+        assert is_idp(s, budget=DEFAULT_BUDGET).ok, s
 
 
 def test_first_undecomposable_is_order_independent():

@@ -160,3 +160,10 @@ def test_reflect_is_membership_preserving_involution():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         lattice_points((9, 9, 9, 9), 3, budget=100)
+
+
+def test_lattice_points_budget_is_the_point_count():
+    n = len(lattice_points((9, 9, 9, 9), 3))
+    with pytest.raises(BudgetExceededError):
+        lattice_points((9, 9, 9, 9), 3, budget=n - 1)
+    assert len(lattice_points((9, 9, 9, 9), 3, budget=n)) == n

@@ -91,6 +91,18 @@ def test_corrupted_triangulation_is_rejected():
     assert report.unmatched_walls  # and its old neighbours lost a partner
 
 
+def test_every_cell_with_an_outside_vertex_is_listed():
+    # a vertex is tested once, but every cell that holds it must be reported
+    s = (2, 4, 8)
+    shifted = tuple(
+        tuple(v[:-1] + (v[-1] + 1,) for v in simplex) for simplex in chimney_triangulation(s).simplices
+    )
+    expected = [i for i, cell in enumerate(shifted) if not all(contains(s, v) for v in cell)]
+    report = verify_triangulation(s, Triangulation(s, shifted))
+    assert len(expected) > 1
+    assert report.outside == expected
+
+
 def test_dropped_cell_breaks_count_and_coverage():
     tri = chimney_triangulation((2, 4))
     report = verify_triangulation((2, 4), Triangulation((2, 4), tri.simplices[1:]))
