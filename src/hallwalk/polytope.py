@@ -9,6 +9,7 @@ vertex matrices displayed elsewhere with x_d on top are re-indexed at the
 boundary.  All arithmetic is exact.
 """
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DimensionError
@@ -128,21 +129,19 @@ def count(s, t: int, budget=None) -> int:
 
     Computed level by level with prefix sums over the chain bounds, which
     agrees with len(lattice_points(s, t)) but never materializes points.
+    Charges its cells: t*s_i + 1 per level, and per prefix array but the last.
     """
     seq = check_s(s)
     if t < 0:
         raise ValueError(f"dilation factor must be >= 0, got {t}")
     if t == 0:
         return 1
-    check_budget(sum(t * v + 1 for v in seq), budget, f"counting the points of {t}*P^{seq}")
+    cells = 2 * sum(t * v + 1 for v in seq) - t * seq[-1] - 1
+    check_budget(cells, budget, f"counting the points of {t}*P^{seq}")
     # counts[v] = number of admissible prefixes (x_1, ..., x_i) with x_i = v
     counts = [1] * (t * seq[0] + 1)
     for i in range(1, len(seq)):
-        prefix = [0] * len(counts)
-        running = 0
-        for v, c in enumerate(counts):
-            running += c
-            prefix[v] = running
+        prefix = list(accumulate(counts))
         top = t * seq[i]
         counts = [prefix[min(w * seq[i - 1] // seq[i], len(prefix) - 1)] for w in range(top + 1)]
     return sum(counts)
@@ -161,7 +160,7 @@ def lattice_points(s, t: int = 1, budget=None) -> list[tuple[int, ...]]:
     d = len(seq)
     if t == 0:
         return [tuple([0] * d)]
-    check_budget(count(seq, t), budget, f"listing the points of {t}*P^{seq}")
+    check_budget(count(seq, t, budget=budget), budget, f"listing the points of {t}*P^{seq}")
     out: list[tuple[int, ...]] = []
     point = [0] * d
 

@@ -166,6 +166,25 @@ def test_compose_refuses_over_budget_quickly(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("idp", "1000000"),
+        ("idp", "1,1000000"),
+        ("compose", "--left", "1000000", "--right", "1", "--mode", "idp"),
+    ],
+)
+def test_point_listing_charges_its_count_first(capsys, monkeypatch, argv):
+    # Counting is refused before its lists are allocated; at the default budget
+    # an unguarded count of P^(10^9) would build a list of 10^9 cells first.
+    monkeypatch.setenv("HALLWALK_BUDGET", "1000")
+    code, _, err = run_within(capsys, 1.0, *argv)
+    assert code == 3
+    payload = json.loads(err)
+    assert payload["error"] == "budget-exceeded"
+    assert payload["message"].startswith("counting the points")
+
+
 def test_idp_default_budget_admits_a_cheap_sumset(capsys, monkeypatch):
     # a bounding box put this at 11,534,336 steps; its largest sumset has 796,068 sums
     monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
@@ -175,7 +194,7 @@ def test_idp_default_budget_admits_a_cheap_sumset(capsys, monkeypatch):
 
 
 def test_ehrhart_default_budget_admits_a_cheap_count(capsys, monkeypatch):
-    # a bounding box put the count of 5*P at 5001^5 steps; the prefix sums take 5 * 5001
+    # a bounding box put the count of 5*P at 5001^5 steps; the prefix sums fill 9 * 5001 cells
     monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
     payload = out_json(capsys, "ehrhart", "1000,1000,1000,1000,1000")
     assert sum(payload["delta"]) == 1000**5

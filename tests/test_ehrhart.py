@@ -93,10 +93,10 @@ def test_ehrhart_data_counts_each_dilate_once(monkeypatch):
 
 
 def test_budget_refusal():
-    # the prefix-sum count of 4*P^(30,30,30,30) takes 4 * (4*30 + 1) = 484 steps
+    # the count of 4*P^(30,30,30,30) fills 4 levels and 3 prefix arrays of 4*30 + 1 cells
     with pytest.raises(BudgetExceededError):
-        count((30, 30, 30, 30), 4, budget=483)
-    assert count((30, 30, 30, 30), 4, budget=484) == count((30, 30, 30, 30), 4)
+        count((30, 30, 30, 30), 4, budget=846)
+    assert count((30, 30, 30, 30), 4, budget=847) == count((30, 30, 30, 30), 4)
 
 
 def test_no_budget_means_unlimited():

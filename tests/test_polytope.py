@@ -167,3 +167,10 @@ def test_lattice_points_budget_is_the_point_count():
     with pytest.raises(BudgetExceededError):
         lattice_points((9, 9, 9, 9), 3, budget=n - 1)
     assert len(lattice_points((9, 9, 9, 9), 3, budget=n)) == n
+
+
+def test_lattice_points_charges_its_count_too():
+    # P^(1000,1) has 1002 points, but counting them fills 2004 cells
+    assert len(lattice_points((1000, 1), 1, budget=2004)) == 1002
+    with pytest.raises(BudgetExceededError):
+        lattice_points((1000, 1), 1, budget=2003)
