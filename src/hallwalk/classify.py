@@ -189,12 +189,12 @@ def _theorem_orientations(cls: SequenceClass):
     ]
 
 
-def classify(s, budget=None) -> Classification:
+def classify(s, budget=None, _delta=None) -> Classification:
     """Full classification with theorem/delta cross-validation."""
     seq = check_s(s)
     d = len(seq)
     cls = sequence_class(seq)
-    dv = deltas.delta_vector(seq, budget=budget)
+    dv = deltas.delta_vector(seq, budget=budget) if _delta is None else _delta
     fano_delta = dv[d] == 1
     reflexive_delta = deltas.is_symmetric(dv) and deltas.degree(dv) == d
 

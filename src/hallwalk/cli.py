@@ -120,8 +120,9 @@ def search_record(s, budget=None, k_max=None) -> dict:
     """One sweep record: delta, classification, IDP verdict, witnesses."""
     record: dict = {"s": list(s), "version": __version__}
     try:
-        record["delta"] = list(delta_vector(s, budget=budget))
-        record["classification"] = classify(s, budget=budget).to_json()
+        dv = delta_vector(s, budget=budget)
+        record["delta"] = list(dv)
+        record["classification"] = classify(s, budget=budget, _delta=dv).to_json()
         idp_result = is_idp(s, k_max=k_max, budget=budget)
         record["idp_verdict"] = idp_result.ok
         record["k_checked"] = idp_result.k_checked

@@ -146,17 +146,20 @@ def gorenstein_compose(s, t, budget=None) -> GorensteinComposition:
     """Compose two Gorenstein sequences into (s, 1, t) with index k + l."""
     s = check_s(s)
     t = check_s(t)
-    k = gorenstein_index(s, budget=budget)
-    l = gorenstein_index(t, budget=budget)
+    delta_s = delta_vector(s, budget=budget)
+    k = gorenstein_index(s, budget=budget, _delta=delta_s)
+    delta_t = delta_vector(t, budget=budget)
+    l = gorenstein_index(t, budget=budget, _delta=delta_t)
     if k is None or l is None:
         side = "left" if k is None else "right"
         raise PreconditionError(f"{side} sequence is not Gorenstein")
     composite = composite_sequence(s, t)
     predicted = k + l
-    product = poly_mul(delta_vector(s, budget=budget), delta_vector(t, budget=budget))
+    product = poly_mul(delta_s, delta_t)
     product = product + (0,) * (len(composite) + 1 - len(product))
-    delta_ok = delta_vector(composite, budget=budget) == product
-    confirmed = gorenstein_index(composite, budget=budget)
+    delta_composite = delta_vector(composite, budget=budget)
+    delta_ok = delta_composite == product
+    confirmed = gorenstein_index(composite, budget=budget, _delta=delta_composite)
     return GorensteinComposition(composite, predicted, confirmed, delta_ok)
 
 

@@ -8,15 +8,21 @@ k-part decomposition by iteration.  Decreasing sequences are handled by
 reversing first; the reversal equivalence is affine, so mapped parts still
 sum to the original point.
 
-The decision procedure is independent of the peel: it checks the sumset
-identity  kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level,
-which is equivalent to full decomposability by induction on k.
+The decision procedure is independent of the peel: it checks the identity
+kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level, which is
+equivalent to full decomposability by induction on k.  No sumset is
+formed.  Both memberships y in P and z - y in (k-1)P are chains that
+couple only adjacent coordinates, so one walk over the targets z decides
+every z at once: each node of the walk keeps the set of y_i that extend
+to a split of the suffix fixed so far (`undecomposable_targets`).  The
+brute-force sumset `first_undecomposable` stays as the tests' oracle.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import MathematicalInconsistencyError, PreconditionError, UnsupportedSequenceError
-from .polytope import check_budget, check_s, contains, lattice_points, reflect, reverse
+from .polytope import check_budget, check_s, contains, count, reflect, reverse
 
 
 def _require_weakly_increasing(seq) -> None:
@@ -109,32 +115,112 @@ class IdpResult:
 
 
 def first_undecomposable(targets, lower, ground) -> tuple[int, ...] | None:
-    """Lexicographically least target not expressible as lower + ground."""
+    """Lexicographically least target not expressible as lower + ground.
+
+    The brute-force sumset; `is_idp` does not call it, the tests use it as
+    the oracle for `undecomposable_targets`.
+    """
     sums = {tuple(a + b for a, b in zip(u, v)) for u in lower for v in ground}
     missing = [z for z in targets if z not in sums]
     return min(missing) if missing else None
 
 
-def is_idp(s, k_max=None, budget=None) -> IdpResult:
-    """Check the sumset identity for k = 2..K (default K = max(2, d-1)).
+def _spans(seq, k: int) -> list[list[range]]:
+    """spans[i][z]: the values of y_i that 0 <= y_i <= s_i and 0 <= z - y_i <= (k-1)*s_i allow."""
+    return [
+        [range(max(0, z - (k - 1) * v), min(v, z) + 1) for z in range(k * v + 1)]
+        for v in seq
+    ]
 
-    Generators of the cone over a d-polytope live in degrees <= d-1, so a
-    first sumset failure beyond that cannot occur; larger K is available
-    for paranoid sweeps.  On failure the smallest failing k and the least
-    witness point are reported.
+
+def reachability_tests(s, k: int) -> int:
+    """Exact number of interval tests `undecomposable_targets(s, k)` makes.
+
+    A node of its walk at level i < d makes one test per candidate y_i.
+    The nodes with z_i = v are the suffixes (z_i, ..., z_d) of points of
+    k*P ending there, counted level by level with suffix sums over the
+    chain bounds, the mirror of the prefix sums of `count`.
+    """
+    seq = check_s(s)
+    spans = _spans(seq, k)
+    nodes = [1] * (k * seq[-1] + 1)
+    tests = 0
+    for i in range(len(seq) - 2, -1, -1):
+        suffix = list(accumulate(reversed(nodes)))[::-1]
+        nodes = [suffix[-(-seq[i + 1] * v // seq[i])] for v in range(k * seq[i] + 1)]
+        tests += sum(n * len(span) for n, span in zip(nodes, spans[i]))
+    return tests
+
+
+def undecomposable_targets(s, k: int) -> list[tuple[int, ...]]:
+    """All z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
+
+    Walks the targets from z_d down, as `lattice_points` does.  Each node
+    carries a bitmask of the y_i for which some y_i, ..., y_d satisfies
+    both chains on the suffix fixed so far.  Below level d, y_i stays in
+    the mask when the parent's mask meets
+    [ceil(s_{i+1} y_i / s_i), z_{i+1} - ceil(s_{i+1} (z_i - y_i) / s_i)].
+    A leaf whose mask is empty is a target that does not decompose.
+    Unguarded: its work is `reachability_tests(s, k)`, which `is_idp`
+    charges first.
+    """
+    seq = check_s(s)
+    d = len(seq)
+    spans = _spans(seq, k)
+    # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i))
+    # per candidate y_i; at most one entry per test, so the budget bounds it too
+    windows = [
+        [[(1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i])) for y in span]
+         for z, span in enumerate(spans[i])]
+        for i in range(d - 1)
+    ]
+    missing: list[tuple[int, ...]] = []
+    point = [0] * d
+
+    def descend(i: int, z_up: int, reach_up: int) -> None:
+        # i is 0-based; z_up and reach_up belong to the parent at level i + 1
+        level = windows[i]
+        for z in range(seq[i] * z_up // seq[i + 1] + 1):
+            reach = 0
+            for bit, low, high in level[z]:
+                if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
+                    reach |= bit
+            point[i] = z
+            if i:
+                descend(i - 1, z, reach)
+            elif not reach:
+                missing.append(tuple(point))
+
+    for z, span in enumerate(spans[-1]):
+        point[-1] = z
+        reach = (1 << span.stop) - (1 << span.start) if span else 0
+        if d > 1:
+            descend(d - 2, z, reach)
+        elif not reach:
+            missing.append(tuple(point))
+    return missing
+
+
+def is_idp(s, k_max=None, budget=None) -> IdpResult:
+    """Decide kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
+
+    Each level is decided by `undecomposable_targets`, one reachability
+    walk over the targets with no sumset.  Before it, `count` refuses a
+    dilate too large to walk and the walk's exact test count is charged
+    to `budget`.  Generators of the cone over a d-polytope live in
+    degrees <= d-1, so a first failure beyond that cannot occur; larger K
+    is available for paranoid sweeps.  On failure the smallest failing k
+    and the lexicographically least undecomposable target are reported.
     """
     seq = check_s(s)
     d = len(seq)
     top = max(2, d - 1) if k_max is None else int(k_max)
     if top < 2:
         raise PreconditionError(f"k_max must be >= 2, got {k_max}")
-    ground = lattice_points(seq, 1, budget=budget)
-    lower = ground
     for k in range(2, top + 1):
-        check_budget(len(lower) * len(ground), budget, f"the sumset of {seq} at k={k}")
-        targets = lattice_points(seq, k, budget=budget)
-        witness = first_undecomposable(targets, lower, ground)
-        if witness is not None:
-            return IdpResult(False, k, witness)
-        lower = targets
+        count(seq, k, budget=budget)
+        check_budget(reachability_tests(seq, k), budget, f"the reachability walk of {k}*P^{seq}")
+        missing = undecomposable_targets(seq, k)
+        if missing:
+            return IdpResult(False, k, min(missing))
     return IdpResult(True, top, None)

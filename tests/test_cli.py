@@ -282,6 +282,23 @@ def test_search_record_fields():
     assert "witness" not in record
 
 
+def test_search_record_computes_delta_once(delta_calls):
+    for s in [(2, 3), (1, 2, 3, 4), (3, 1, 2)]:
+        delta_calls.clear()
+        record = search_record(s)
+        index = record["classification"]["gorenstein_index"]
+        confirm = [tuple(index * v for v in s)] if index else []  # the index's own check
+        assert delta_calls == [s] + confirm
+
+
+def test_search_record_keeps_delta_when_classify_is_refused():
+    # delta of s is 5040 steps; confirming index 2 dilates it to 645,120
+    record = search_record((1, 2, 3, 4, 5, 6, 7), budget=10_000)
+    assert record["delta"] == [1, 120, 1191, 2416, 1191, 120, 1, 0]
+    assert record["error"] == "budget-exceeded"
+    assert "classification" not in record
+
+
 def test_search_record_budget_is_per_sequence():
     record = search_record((9, 9, 9, 9, 9), budget=100)
     assert record["error"] == "budget-exceeded"

@@ -17,7 +17,7 @@ from hallwalk.freesum import (
     split_map,
 )
 from hallwalk.idp import is_idp
-from hallwalk.polytope import count, lattice_points
+from hallwalk.polytope import count, dilate, lattice_points
 
 
 def small_sequences(dmax, smax):
@@ -106,6 +106,18 @@ def test_gorenstein_compose_examples():
     assert result.predicted_index == 4
     assert result.confirmed_index == 4
     assert result.ok
+
+
+def test_gorenstein_compose_computes_each_delta_once(delta_calls):
+    # each sequence once, then once more dilated by its index to confirm it
+    result = gorenstein_compose((2, 3, 4), (3, 3, 4))
+    assert (result.ok, result.predicted_index) == (True, 2)
+    composite = (2, 3, 4, 1, 3, 3, 4)
+    assert delta_calls == [
+        (2, 3, 4), (2, 3, 4),  # index 1
+        (3, 3, 4), (3, 3, 4),  # index 1
+        composite, dilate(composite, 2),
+    ]
 
 
 def test_gorenstein_compose_requires_gorenstein_inputs():

@@ -1,11 +1,25 @@
+import random
 from itertools import product
 
 import pytest
 
 from hallwalk import DEFAULT_BUDGET, idp
 from hallwalk.errors import BudgetExceededError, PreconditionError, UnsupportedSequenceError
-from hallwalk.idp import decompose, first_undecomposable, greedy_peel, is_idp
+from hallwalk.idp import (
+    IdpResult,
+    decompose,
+    first_undecomposable,
+    greedy_peel,
+    is_idp,
+    reachability_tests,
+    undecomposable_targets,
+)
 from hallwalk.polytope import contains, lattice_points
+
+
+def small_sequences(dmax, smax):
+    for d in range(1, dmax + 1):
+        yield from product(range(1, smax + 1), repeat=d)
 
 
 def weakly_monotone(dmax, smax):
@@ -90,18 +104,117 @@ def test_is_idp_budget():
         is_idp((6, 6, 6, 6), budget=500)
 
 
-def test_is_idp_budget_is_the_sumset_size():
-    # P^(2,3) has 7 points, so the sumset at k=2 forms 49 sums
-    with pytest.raises(BudgetExceededError):
-        is_idp((2, 3), budget=48)
-    assert is_idp((2, 3), budget=49).ok
+def test_is_idp_budget_is_the_walk_size():
+    # at k=2 the walk over 2P^(2,3) makes 34 interval tests; its count charges 17 cells
+    assert reachability_tests((2, 3), 2) == 34
+    with pytest.raises(BudgetExceededError, match="reachability walk"):
+        is_idp((2, 3), budget=33)
+    assert is_idp((2, 3), budget=34).ok
 
 
 def test_default_budget_refuses_no_small_sequence(monkeypatch):
-    # the guards alone are under test, so the sumset itself is skipped
-    monkeypatch.setattr(idp, "first_undecomposable", lambda targets, lower, ground: None)
+    # the guards alone are under test, so the walk itself is skipped
+    monkeypatch.setattr(idp, "undecomposable_targets", lambda s, k: [])
     for s in product(range(1, 4), repeat=6):
         assert is_idp(s, budget=DEFAULT_BUDGET).ok, s
+
+
+def oracle_missing(targets, lower, ground):
+    """Every target the sumset oracle cannot reach, peeled off one least witness at a time."""
+    missing = set()
+    while (z := first_undecomposable([t for t in targets if t not in missing], lower, ground)) is not None:
+        missing.add(z)
+    return missing
+
+
+def test_walk_matches_the_sumset_oracle():
+    for s in small_sequences(4, 4):
+        ground = lattice_points(s, 1)
+        lower = ground
+        for k in (2, 3):
+            targets = lattice_points(s, k)
+            expected = oracle_missing(targets, lower, ground)
+            assert set(undecomposable_targets(s, k)) == expected, (s, k)
+            lower = targets
+
+
+def test_reachability_tests_counts_every_node_candidate():
+    # a node at level i < d is a suffix (z_i, ..., z_d) of a target; it tests each
+    # y_i with 0 <= y_i <= s_i and 0 <= z_i - y_i <= (k-1)*s_i
+    for s in small_sequences(3, 3):
+        for k in (2, 3):
+            targets = lattice_points(s, k)
+            expected = sum(
+                len(range(max(0, z[0] - (k - 1) * s[i]), min(s[i], z[0]) + 1))
+                for i in range(len(s) - 1)
+                for z in {p[i:] for p in targets}
+            )
+            assert reachability_tests(s, k) == expected, (s, k)
+
+
+@pytest.fixture
+def ground_below_top(monkeypatch):
+    """Plant a failure: parts y must have y_d < s_d, so P loses its points with x_d = s_d."""
+    spans = idp._spans
+
+    def planted(seq, k):
+        return [[range(r.start, min(r.stop, v)) for r in level] for v, level in zip(seq, spans(seq, k))]
+
+    monkeypatch.setattr(idp, "_spans", planted)
+
+
+@pytest.mark.parametrize("s", [(2, 3), (1, 2, 3), (3, 1, 2), (2, 2)])
+def test_planted_failure_matches_the_oracle(ground_below_top, s):
+    ground = [p for p in lattice_points(s, 1) if p[-1] < s[-1]]
+    for k in (2, 3):
+        missing = undecomposable_targets(s, k)
+        assert missing  # leaves with an empty mask
+        assert set(missing) == oracle_missing(lattice_points(s, k), lattice_points(s, k - 1), ground)
+    least = first_undecomposable(lattice_points(s, 2), lattice_points(s, 1), ground)
+    assert is_idp(s, k_max=3) == IdpResult(False, 2, least)
+
+
+def test_planted_failure_reports_the_least_witness(ground_below_top):
+    # the points of 2P^(2,3) with z_2 = 6 need y_2 = 3, which the planted ground lacks
+    assert sorted(undecomposable_targets((2, 3), 2)) == [(0, 6), (1, 6), (2, 6), (3, 6), (4, 6)]
+    assert is_idp((2, 3), k_max=3) == IdpResult(False, 2, (0, 6))
+
+
+def narrow(r, rng):
+    """r itself, or a random nonempty subrange of it."""
+    if len(r) < 2 or rng.random() < 0.7:
+        return r
+    start = rng.randrange(r.start, r.stop)
+    return range(start, rng.randrange(start, r.stop) + 1)
+
+
+def test_walk_matches_brute_force_under_random_restrictions(monkeypatch):
+    # Real polytopes miss no target, so the chain tests are checked here on
+    # failures planted by narrowing random spans: y_i must also lie in a
+    # random subrange chosen per (level, z_i).
+    rng = random.Random(5)
+    spans = idp._spans
+    for s in small_sequences(3, 3):
+        for k in (2, 3):
+            narrowed = [[narrow(r, rng) for r in level] for level in spans(s, k)]
+            monkeypatch.setattr(idp, "_spans", lambda seq, k: narrowed)
+            lower = set(lattice_points(s, k - 1))
+            expected = {
+                z for z in lattice_points(s, k)
+                if not any(
+                    all(y[i] in narrowed[i][z[i]] for i in range(len(s)))
+                    and tuple(a - b for a, b in zip(z, y)) in lower
+                    for y in lattice_points(s, 1)
+                )
+            }
+            assert set(undecomposable_targets(s, k)) == expected, (s, k)
+
+
+def test_is_idp_reports_the_least_witness_of_the_first_failing_k(monkeypatch):
+    # the walk lists targets by z_d first; the witness is the least by z_1 first
+    missing = {2: [], 3: [(2, 3), (1, 6)]}
+    monkeypatch.setattr(idp, "undecomposable_targets", lambda s, k: missing.get(k, [(0, 0)]))
+    assert is_idp((2, 3), k_max=4) == IdpResult(False, 3, (1, 6))
 
 
 def test_first_undecomposable_is_order_independent():
