@@ -12,9 +12,14 @@ The theorem verdict certifies the property after translating the unique
 interior point to the origin; the delta verdict certifies it only up to
 unimodular equivalence.  Whenever both exist they are asserted equal, so a
 disagreement surfaces as an error instead of a silent wrong answer.
+
+The Gorenstein index has two verdicts for every s: the facet route reads
+it off the chain of facet rows in O(d) integer steps, and the delta route
+reads it off the symmetry of the delta-vector.  No dilate is enumerated.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import delta as deltas
 from .errors import (
@@ -26,7 +31,6 @@ from .polytope import (
     HalfSpace,
     check_s,
     contains,
-    dilate,
     lattice_points,
     reflect,
     reverse,
@@ -281,24 +285,41 @@ def classify(s, budget=None, _delta=None) -> Classification:
 def gorenstein_index(s, budget=None, _delta=None) -> int | None:
     """Index c with c*P reflexive, or None.
 
-    If the delta-vector is symmetric of degree m the candidate is
-    c = d - m + 1; the verdict is only reported after constructively
-    checking that dilate(s, c) has a symmetric delta-vector of full degree.
+    Two independent verdicts must agree.  The facet route is Hibi's
+    criterion (Combinatorica 1992; De Negri and Hibi 1997): P is Gorenstein
+    of index c iff c*P has an interior lattice point at lattice distance 1
+    from every facet, see `_facet_index`.  The delta route is Stanley's:
+    delta symmetric of degree m gives c = d - m + 1, otherwise None.
     """
     seq = check_s(s)
     d = len(seq)
     dv = deltas.delta_vector(seq, budget=budget) if _delta is None else _delta
-    if not deltas.is_symmetric(dv):
-        return None
-    c = d - deltas.degree(dv) + 1
-    scaled = dilate(seq, c)
-    dv_scaled = deltas.delta_vector(scaled, budget=budget)
-    if not (deltas.is_symmetric(dv_scaled) and deltas.degree(dv_scaled) == d):
+    by_delta = d - deltas.degree(dv) + 1 if deltas.is_symmetric(dv) else None
+    by_facets = _facet_index(seq)
+    if by_facets != by_delta:
         raise MathematicalInconsistencyError(
-            f"delta of s={seq} is symmetric of degree {deltas.degree(dv)} but "
-            f"dilate(s, {c}) = {scaled} is not reflexive (delta {dv_scaled})"
+            f"the facets of s={seq} give Gorenstein index {by_facets} but "
+            f"delta {dv} gives {by_delta}"
         )
-    return c
+    return by_facets
+
+
+def _facet_index(seq) -> int | None:
+    """Hibi's index read off the chain of primitive facet rows, in O(d).
+
+    The point p of c*P at distance 1 from every facet is forced row by row:
+    -x_1 <= 0 gives p_1 = 1, the row (s_{i+1} x_i - s_i x_{i+1}) / g_i <= 0
+    with g_i = gcd(s_i, s_{i+1}) gives s_i p_{i+1} = s_{i+1} p_i + g_i, and
+    x_d <= c s_d gives c s_d = p_d + 1.  No index exists when a step is not
+    integral.
+    """
+    p = 1
+    for a, b in zip(seq, seq[1:]):
+        p, rest = divmod(b * p + gcd(a, b), a)
+        if rest:
+            return None
+    c, rest = divmod(p + 1, seq[-1])
+    return None if rest else c
 
 
 def translated_hrep(s) -> list[HalfSpace]:

@@ -12,7 +12,10 @@ The identification is re-verified point by point here rather than assumed.
 Composites (s, 1, t) inherit Gorenstein and IDP properties from their
 factors; the middle 1 makes the left factor a pyramid whose facets all
 have right-hand side 0 or 1, which is the product condition for
-delta-polynomials of free sums.
+delta-polynomials of free sums.  IDP inheritance also needs the lattice
+points of each factor to span the lattice, which holds for every s: the
+points p_j = (0, ..., 0, 1, x_{j+1}, ..., x_d) with
+x_i = ceil(s_i x_{i-1} / s_{i-1}) lie in P^(s) and are unit triangular.
 """
 
 from dataclasses import dataclass
@@ -20,9 +23,8 @@ from dataclasses import dataclass
 from .classify import gorenstein_index
 from .delta import delta_vector
 from .ehrhart import delta_from_counts
-from .errors import MathematicalInconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .idp import IdpResult, is_idp
-from .intlinalg import lattice_index
 from .polytope import check_budget, check_s, hrep, lattice_points, reverse
 
 
@@ -176,13 +178,6 @@ class IdpComposition:
         return {"composite": list(self.composite), **self.result.to_json(), "ok": self.ok}
 
 
-def lattice_span_is_full(s, budget=None) -> bool:
-    """The lattice points of P^(s) generate all of Z^d."""
-    seq = check_s(s)
-    points = lattice_points(seq, 1, budget=budget)
-    return lattice_index(points, len(seq)) == 1
-
-
 def idp_compose(s, t, k_max=None, budget=None) -> IdpComposition:
     """Compose two IDP sequences into (s, 1, t) and re-verify the composite."""
     s = check_s(s)
@@ -193,10 +188,5 @@ def idp_compose(s, t, k_max=None, budget=None) -> IdpComposition:
     right = is_idp(t, k_max=k_max, budget=budget)
     if not right.ok:
         raise PreconditionError(f"right sequence is not IDP (witness {right.witness})")
-    for side, seq in (("left", s), ("right", t)):
-        if not lattice_span_is_full(seq, budget=budget):
-            raise MathematicalInconsistencyError(
-                f"{side} polytope's lattice points do not span the full lattice: {seq}"
-            )
     composite = composite_sequence(s, t)
     return IdpComposition(composite, is_idp(composite, k_max=k_max, budget=budget))

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, unimodularity, lattice span.
+"""Exact integer linear algebra: determinants and unimodularity.
 
 Everything here works on plain sequences of Python ints (arbitrary
 precision); there is no floating point anywhere.
@@ -59,64 +59,3 @@ def simplex_is_unimodular(vertices) -> bool:
     if len(vertices) != d + 1 or any(len(v) != d for v in vertices):
         raise DimensionError(f"need exactly {d + 1} points of dimension {d}")
     return abs(determinant(edge_matrix(vertices))) == 1
-
-
-def xgcd(a: int, b: int):
-    """(x, y, g) with x*a + y*b == g == gcd(a, b)."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    return x, y, g
-
-
-def lattice_index(vectors, dim: int) -> int:
-    """Index in Z^dim of the lattice generated by `vectors` (0 if rank-deficient).
-
-    Hermite-style row reduction with extended-gcd merges; index 1 means the
-    vectors span the full integer lattice.
-    """
-    basis: list[list[int]] = []  # echelon rows, pivot columns strictly increasing
-    pivots: list[int] = []
-    for vec in vectors:
-        row = list(vec)
-        if len(row) != dim:
-            raise DimensionError(f"expected vectors of length {dim}")
-        col = 0
-        while col < dim:
-            if row[col] == 0:
-                col += 1
-                continue
-            if col in pivots:
-                at = pivots.index(col)
-                other = basis[at]
-                a, b = other[col], row[col]
-                if b % a == 0:
-                    q = b // a
-                    for j in range(col, dim):
-                        row[j] -= q * other[j]
-                else:
-                    x, y, g = xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    for j in range(col, dim):
-                        oj, rj = other[j], row[j]
-                        other[j] = x * oj + y * rj
-                        row[j] = ag * rj - bg * oj
-                continue  # retry same column: row[col] is now 0
-            at = 0
-            while at < len(pivots) and pivots[at] < col:
-                at += 1
-            basis.insert(at, row)
-            pivots.insert(at, col)
-            break
-        # fully reduced rows are dropped
-    if len(basis) < dim:
-        return 0
-    index = 1
-    for at, col in enumerate(pivots):
-        index *= basis[at][col]
-    return abs(index)

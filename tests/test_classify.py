@@ -15,7 +15,11 @@ from hallwalk.classify import (
     translated_hrep,
 )
 from hallwalk.delta import delta_vector, degree, is_symmetric
-from hallwalk.errors import OriginNotInteriorError, UnsupportedSequenceError
+from hallwalk.errors import (
+    MathematicalInconsistencyError,
+    OriginNotInteriorError,
+    UnsupportedSequenceError,
+)
 from hallwalk.polytope import HalfSpace, contains, dilate, lattice_points
 
 
@@ -81,10 +85,32 @@ def test_gorenstein_examples():
 
 
 def test_gorenstein_index_confirmed_by_dilate():
-    for s in [(1, 2, 4), (1, 1, 1), (2, 3), (1, 2)]:
-        c = gorenstein_index(s)
-        dv = delta_vector(dilate(s, c))
-        assert is_symmetric(dv) and degree(dv) == len(s)
+    # the oracle: delta(s) symmetric of degree m proposes c = d - m + 1, and
+    # c*P must then be reflexive, i.e. delta(c*s) symmetric of degree d
+    found = set()
+    for d in range(1, 5):
+        for s in product(range(1, 6), repeat=d):
+            dv = delta_vector(s)
+            oracle = d - degree(dv) + 1 if is_symmetric(dv) else None
+            if oracle is not None:
+                scaled = delta_vector(dilate(s, oracle))
+                assert is_symmetric(scaled) and degree(scaled) == d, (s, oracle)
+            assert gorenstein_index(s) == oracle, s
+            found.add(oracle)
+    assert found == {None, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "delta, says",
+    [
+        ((1, 2, 3, 0), None),  # not symmetric
+        ((1, 6, 1, 0), 2),  # symmetric of degree 2
+    ],
+)
+def test_routes_must_agree_on_the_index(delta, says):
+    # the facets of P^(2,3,4) give index 1
+    with pytest.raises(MathematicalInconsistencyError, match=f"gives {says}$"):
+        gorenstein_index((2, 3, 4), _delta=delta)
 
 
 def test_translated_hrep_examples():

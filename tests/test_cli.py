@@ -5,6 +5,7 @@ import time
 import pytest
 
 from hallwalk.cli import main, search_record
+from hallwalk.errors import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -166,6 +167,22 @@ def test_compose_refuses_over_budget_quickly(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+def test_gorenstein_index_of_a_cheap_polytope_is_not_refused(capsys, monkeypatch):
+    # the standard 8-simplex has 9 lattice points; confirming its index 9 by
+    # the delta of its 9th dilate would enumerate 9^8 = 43,046,721 sequences
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, out, _ = run_within(capsys, 1.0, "classify", "1,1,1,1,1,1,1,1")
+    assert code == 0
+    assert json.loads(out)["gorenstein_index"] == 9
+    side = "1,1,1,1"
+    code, out, _ = run_within(
+        capsys, 1.0, "compose", "--left", side, "--right", side, "--mode", "gorenstein"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["confirmed_index"], payload["ok"]) == (10, True)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -283,16 +300,20 @@ def test_search_record_fields():
 
 
 def test_search_record_computes_delta_once(delta_calls):
+    # the Gorenstein index is read off the facets, so no dilate is enumerated
     for s in [(2, 3), (1, 2, 3, 4), (3, 1, 2)]:
         delta_calls.clear()
-        record = search_record(s)
-        index = record["classification"]["gorenstein_index"]
-        confirm = [tuple(index * v for v in s)] if index else []  # the index's own check
-        assert delta_calls == [s] + confirm
+        search_record(s)
+        assert delta_calls == [s]
 
 
-def test_search_record_keeps_delta_when_classify_is_refused():
-    # delta of s is 5040 steps; confirming index 2 dilates it to 645,120
+def test_search_record_keeps_delta_when_classify_is_refused(monkeypatch):
+    import hallwalk.cli as cli
+
+    def refuse(s, budget=None, _delta=None):
+        raise BudgetExceededError("forced refusal")
+
+    monkeypatch.setattr(cli, "classify", refuse)
     record = search_record((1, 2, 3, 4, 5, 6, 7), budget=10_000)
     assert record["delta"] == [1, 120, 1191, 2416, 1191, 120, 1, 0]
     assert record["error"] == "budget-exceeded"

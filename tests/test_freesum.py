@@ -12,12 +12,12 @@ from hallwalk.freesum import (
     free_sum,
     gorenstein_compose,
     idp_compose,
-    lattice_span_is_full,
     poly_mul,
     split_map,
 )
 from hallwalk.idp import is_idp
-from hallwalk.polytope import count, dilate, lattice_points
+from hallwalk.intlinalg import determinant
+from hallwalk.polytope import contains, count, lattice_points
 
 
 def small_sequences(dmax, smax):
@@ -109,15 +109,9 @@ def test_gorenstein_compose_examples():
 
 
 def test_gorenstein_compose_computes_each_delta_once(delta_calls):
-    # each sequence once, then once more dilated by its index to confirm it
     result = gorenstein_compose((2, 3, 4), (3, 3, 4))
     assert (result.ok, result.predicted_index) == (True, 2)
-    composite = (2, 3, 4, 1, 3, 3, 4)
-    assert delta_calls == [
-        (2, 3, 4), (2, 3, 4),  # index 1
-        (3, 3, 4), (3, 3, 4),  # index 1
-        composite, dilate(composite, 2),
-    ]
+    assert delta_calls == [(2, 3, 4), (3, 3, 4), (2, 3, 4, 1, 3, 3, 4)]
 
 
 def test_gorenstein_compose_requires_gorenstein_inputs():
@@ -151,6 +145,17 @@ def test_idp_compose_verdict_matches_direct_check():
     assert is_idp(comp).ok
 
 
-def test_lattice_span_is_full_small_range():
-    for s in small_sequences(3, 3):
-        assert lattice_span_is_full(s), s
+def test_lattice_points_span_the_lattice():
+    # why idp_compose need not check the span: p_j = (0, ..., 0, 1, x_{j+1}, ..., x_d)
+    # with x_i = ceil(s_i x_{i-1} / s_{i-1}) lies in P, and these d points are unit triangular
+    for s in small_sequences(4, 6):
+        d = len(s)
+        rows = []
+        for j in range(d):
+            p = [0] * d
+            p[j] = 1
+            for i in range(j + 1, d):
+                p[i] = -(-s[i] * p[i - 1] // s[i - 1])
+            assert contains(s, tuple(p)), (s, p)
+            rows.append(p)
+        assert determinant(rows) == 1, s

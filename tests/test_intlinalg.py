@@ -6,10 +6,8 @@ import pytest
 from hallwalk.errors import DimensionError
 from hallwalk.intlinalg import (
     determinant,
-    lattice_index,
     simplex_is_unimodular,
     transpose,
-    xgcd,
 )
 
 
@@ -76,22 +74,3 @@ def test_simplex_unimodularity():
 def test_simplex_wrong_count():
     with pytest.raises(DimensionError):
         simplex_is_unimodular([(0, 0), (1, 0)])
-
-
-def test_xgcd():
-    from math import gcd
-
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            x, y, g = xgcd(a, b)
-            assert x * a + y * b == g
-            assert abs(g) == gcd(a, b)
-
-
-def test_lattice_index():
-    assert lattice_index([(1, 0), (0, 1)], 2) == 1
-    assert lattice_index([(2, 0), (0, 1)], 2) == 2
-    assert lattice_index([(2, 0), (0, 3)], 2) == 6
-    assert lattice_index([(1, 1), (1, -1)], 2) == 2
-    assert lattice_index([(1, 2)], 2) == 0  # rank deficient
-    assert lattice_index([(3, 1), (1, 0), (0, 1)], 2) == 1
