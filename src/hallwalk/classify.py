@@ -8,10 +8,15 @@ Two independent verdicts are produced wherever possible:
 * delta verdicts from the ascent-enumerated delta-vector (delta_d = 1 for
   Fano; symmetric of degree d for reflexive-up-to-unimodular-equivalence).
 
-The theorem verdict certifies the property after translating the unique
-interior point to the origin; the delta verdict certifies it only up to
-unimodular equivalence.  Whenever both exist they are asserted equal, so a
-disagreement surfaces as an error instead of a silent wrong answer.
+The interior point is read off the chain of facet rows in O(d) steps, as
+the least and the greatest interior lattice point (`_interior_chain`); it
+exists exactly when the two are equal, which must agree with delta_d = 1.
+One loop over the theorem orientations yields a (Fano, interior point,
+divisible) verdict per orientation; the verdicts must all be equal and must
+match delta and the chain, so a disagreement surfaces as an error instead
+of a silent wrong answer.  The theorem verdict certifies the property after
+translating the unique interior point to the origin; the delta verdict
+certifies it only up to unimodular equivalence.
 
 The Gorenstein index has two verdicts for every s: the facet route reads
 it off the chain of facet rows in O(d) integer steps, and the delta route
@@ -27,15 +32,7 @@ from .errors import (
     OriginNotInteriorError,
     UnsupportedSequenceError,
 )
-from .polytope import (
-    HalfSpace,
-    check_s,
-    contains,
-    lattice_points,
-    reflect,
-    reverse,
-    vertices,
-)
+from .polytope import HalfSpace, check_s, hrep, reflect, reverse
 
 STRICTLY_INCREASING = "strictly-increasing"
 CONSTANT_THEN_STRICT = "constant-then-strict"
@@ -193,6 +190,38 @@ def _theorem_orientations(cls: SequenceClass):
     ]
 
 
+def _theorem_verdict(name: str, rev: bool, seq):
+    """(Fano, interior point of P^(seq), reflexive) by one class theorem.
+
+    Reflexive means divisible for a Fano polytope; any other is not reflexive.
+    """
+    oriented = reverse(seq) if rev else seq
+    if not _fano_condition(name, oriented):
+        return False, None, False
+    p = _interior_point_formula(name, oriented)
+    return True, reflect(oriented, p) if rev else p, _divisibility_condition(name, oriented)
+
+
+def _interior_chain(seq):
+    """The least and the greatest interior lattice point of P^(seq), or (None, None).
+
+    Along the chain the strict row s_{i+1} x_i < s_i x_{i+1} bounds x_{i+1}
+    below by floor(s_{i+1} x_i / s_i) + 1 and x_i above by
+    ceil(s_i x_{i+1} / s_{i+1}) - 1.  Starting from x_1 = 1 upwards and from
+    x_d = s_d - 1 downwards gives the two points; every interior point lies
+    between them, so there is exactly one when they are equal.
+    """
+    least = [1]
+    for a, b in zip(seq, seq[1:]):
+        least.append(b * least[-1] // a + 1)
+    if least[-1] >= seq[-1]:
+        return None, None
+    greatest = [seq[-1] - 1]
+    for a, b in zip(seq[-2::-1], seq[::-1]):
+        greatest.append(-(-a * greatest[-1] // b) - 1)
+    return tuple(least), tuple(greatest[::-1])
+
+
 def classify(s, budget=None, _delta=None) -> Classification:
     """Full classification with theorem/delta cross-validation."""
     seq = check_s(s)
@@ -202,69 +231,33 @@ def classify(s, budget=None, _delta=None) -> Classification:
     fano_delta = dv[d] == 1
     reflexive_delta = deltas.is_symmetric(dv) and deltas.degree(dv) == d
 
+    least, greatest = _interior_chain(seq)
+    interior_point = least if least == greatest else None
+    if (interior_point is not None) != fano_delta:
+        raise MathematicalInconsistencyError(
+            f"delta_d = {dv[d]} but the interior points of s={seq} run from "
+            f"{least} to {greatest}"
+        )
+
     orientations = _theorem_orientations(cls)
-    fano_verdicts = []
-    for name, rev in orientations:
-        oriented = reverse(seq) if rev else seq
-        fano_verdicts.append(_fano_condition(name, oriented))
+    verdicts = {(name, rev): _theorem_verdict(name, rev, seq) for name, rev in orientations}
     fano_theorem: bool | None = None
-    if fano_verdicts:
-        if len(set(fano_verdicts)) != 1:
-            raise MathematicalInconsistencyError(
-                f"class theorems disagree on Fano for s={seq}: {list(zip(orientations, fano_verdicts))}"
-            )
-        fano_theorem = fano_verdicts[0]
-        if fano_theorem != fano_delta:
-            raise MathematicalInconsistencyError(
-                f"theorem says Fano={fano_theorem} but delta_d={dv[d]} for s={seq}"
-            )
-
-    interior_point = None
-    if fano_delta:
-        points = set()
-        for name, rev in orientations:
-            oriented = reverse(seq) if rev else seq
-            p = _interior_point_formula(name, oriented)
-            points.add(reflect(oriented, p) if rev else p)
-        if points:
-            if len(points) != 1:
-                raise MathematicalInconsistencyError(
-                    f"interior point formulas disagree for s={seq}: {sorted(points)}"
-                )
-            interior_point = points.pop()
-        else:
-            inside = [p for p in lattice_points(seq, 1, budget=budget) if contains(seq, p, strict=True)]
-            if len(inside) != 1:
-                raise MathematicalInconsistencyError(
-                    f"delta_d = 1 but found {len(inside)} interior points for s={seq}"
-                )
-            interior_point = inside[0]
-        if not contains(seq, interior_point, strict=True):
-            raise MathematicalInconsistencyError(
-                f"formula interior point {interior_point} is not interior for s={seq}"
-            )
-
     reflexive_theorem: bool | None = None
     reflexive_reason: str | None = None
-    if orientations:
-        if not fano_theorem:
-            reflexive_theorem = False
-            reflexive_reason = "not Fano"
-        else:
-            verdicts = []
-            for name, rev in orientations:
-                oriented = reverse(seq) if rev else seq
-                verdicts.append(_divisibility_condition(name, oriented))
-            if len(set(verdicts)) != 1:
-                raise MathematicalInconsistencyError(
-                    f"class theorems disagree on reflexivity for s={seq}"
-                )
-            reflexive_theorem = verdicts[0]
-        if reflexive_theorem != reflexive_delta:
+    if verdicts:
+        if len(set(verdicts.values())) != 1:
             raise MathematicalInconsistencyError(
-                f"theorem says reflexive={reflexive_theorem} but delta route says "
-                f"{reflexive_delta} for s={seq} (delta={dv})"
+                f"class theorems disagree for s={seq}: {verdicts}"
             )
+        fano_theorem, point, reflexive_theorem = verdicts[orientations[0]]
+        if (fano_theorem, point, reflexive_theorem) != (fano_delta, interior_point, reflexive_delta):
+            raise MathematicalInconsistencyError(
+                f"theorems say (Fano, interior point, reflexive) = "
+                f"{(fano_theorem, point, reflexive_theorem)} but delta {dv} and the "
+                f"chain say {(fano_delta, interior_point, reflexive_delta)} for s={seq}"
+            )
+        if not fano_theorem:
+            reflexive_reason = "not Fano"
 
     index = gorenstein_index(seq, budget=budget, _delta=dv)
 
@@ -326,9 +319,11 @@ def translated_hrep(s) -> list[HalfSpace]:
     """Facet system of P^(s) translated so its unique interior point is 0.
 
     Only defined when s (or reverse(s)) lies in a characterized class and
-    is Fano there; the rows follow the class-specific primitive forms.  For
-    a reversed match the rows describe the increasing representative
-    reverse(s), whose translated polytope is unimodularly equivalent.
+    is Fano there.  The rows are those of `hrep`, in its order, each divided
+    by the gcd of its coefficients, so a row's bound is its lattice distance
+    from the class formula's interior point.  For a reversed match the rows
+    describe the increasing representative reverse(s), whose translated
+    polytope is unimodularly equivalent.
     """
     seq = check_s(s)
     cls = sequence_class(seq)
@@ -339,65 +334,17 @@ def translated_hrep(s) -> list[HalfSpace]:
     oriented = reverse(seq) if rev else seq
     if not _fano_condition(name, oriented):
         raise UnsupportedSequenceError(f"s={seq} is not Fano, no translated facet system")
-    d = len(oriented)
-    rows: list[HalfSpace] = []
-
-    def unit(i, sign=1):
-        return tuple(sign if j == i else 0 for j in range(d))
-
-    if name in (STRICTLY_INCREASING, INCREMENT_AT_MOST_ONE):
-        rows.append(HalfSpace(unit(d - 1), 1))
-        for i in range(d - 1):
-            a = [0] * d
-            a[i] = oriented[i + 1]
-            a[i + 1] = -oriented[i]
-            if name == STRICTLY_INCREASING:
-                b = oriented[i + 1] - oriented[i]
-            else:
-                b = (i + 2) * oriented[i] - (i + 1) * oriented[i + 1]
-            rows.append(HalfSpace(tuple(a), b))
-        rows.append(HalfSpace(unit(0, -1), 1))
-    else:  # constant then strictly increasing
-        run = _constant_run(oriented)
-        rows.append(HalfSpace(unit(0, -1), 1))
-        rows.append(HalfSpace(unit(d - 1), 1))
-        for j in range(1, run):
-            a = [0] * d
-            a[j - 1] = 1
-            a[j] = -1
-            rows.append(HalfSpace(tuple(a), 1))
-        for j in range(run - 1, d - 1):
-            a = [0] * d
-            a[j] = oriented[j + 1]
-            a[j + 1] = -oriented[j]
-            rows.append(HalfSpace(tuple(a), oriented[j + 1] - oriented[j]))
-
-    _check_translated_rows(oriented, name, rows)
-    return rows
-
-
-def _check_translated_rows(oriented, name, rows) -> None:
-    # Every translated vertex satisfies all rows and is tight on >= d of
-    # them; the origin is strictly inside.  Violations mean a bad row.
     p = _interior_point_formula(name, oriented)
-    for row in rows:
-        if row.b <= 0:
-            raise MathematicalInconsistencyError(f"row {row} does not contain 0 strictly")
-    for v in vertices(oriented):
-        shifted = tuple(x - q for x, q in zip(v, p))
-        tight = 0
-        for row in rows:
-            slack = row.slack(shifted)
-            if slack < 0:
-                raise MathematicalInconsistencyError(
-                    f"translated vertex {shifted} violates {row} for s={oriented}"
-                )
-            if slack == 0:
-                tight += 1
-        if tight < len(oriented):
+    rows = []
+    for row in hrep(oriented):
+        g = gcd(*row.a)
+        translated = HalfSpace(tuple(c // g for c in row.a), row.slack(p) // g)
+        if translated.b < 1:
             raise MathematicalInconsistencyError(
-                f"translated vertex {shifted} tight on only {tight} rows for s={oriented}"
+                f"{p} is not interior to {row} for s={oriented}"
             )
+        rows.append(translated)
+    return rows
 
 
 def dual_is_lattice(halfspaces) -> bool:

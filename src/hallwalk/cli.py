@@ -205,7 +205,6 @@ def _cmd_search(args) -> int:
     existing = _read_store(out) if args.resume and out.exists() else {}
     budget = _budget()
     lines: dict[tuple, str] = dict(existing)
-    witnesses = 0
     new = 0
     with out.open("a") as sink:
         for s in _sweep_sequences(args.dmax, args.smax, args.random, args.seed):

@@ -41,10 +41,6 @@ def determinant(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def transpose(matrix):
-    return [list(col) for col in zip(*matrix)]
-
-
 def edge_matrix(vertices):
     """Rows v_1 - v_0, ..., v_d - v_0 for a list of d+1 points."""
     base = vertices[0]

@@ -1,4 +1,6 @@
+import sys
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,7 @@ from hallwalk.classify import (
     INCREMENT_AT_MOST_ONE,
     STRICTLY_INCREASING,
     WEAKLY_MONOTONE,
+    _interior_chain,
     classify,
     dual_is_lattice,
     gorenstein_index,
@@ -116,14 +119,31 @@ def test_routes_must_agree_on_the_index(delta, says):
 def test_translated_hrep_examples():
     rows = translated_hrep((2, 3))
     assert rows == [
-        HalfSpace((0, 1), 1),
-        HalfSpace((3, -2), 1),
         HalfSpace((-1, 0), 1),
+        HalfSpace((3, -2), 1),
+        HalfSpace((0, 1), 1),
     ]
+    assert HalfSpace((2, -1), 1) in translated_hrep((2, 4))  # the primitive chain row
     rows = translated_hrep((3, 3, 4))
     assert HalfSpace((1, -1, 0), 1) in rows
     rows = translated_hrep((2, 3, 4, 5))
     assert all(row.b == 1 for row in rows)
+
+
+def test_translated_rows_are_primitive_at_lattice_distance_at_least_one():
+    fano = 0
+    for d in range(1, 5):
+        for s in product(range(1, 9), repeat=d):
+            try:
+                rows = translated_hrep(s)
+            except UnsupportedSequenceError:
+                continue
+            fano += 1
+            assert all(gcd(*row.a) == 1 and row.b >= 1 for row in rows), (s, rows)
+            dv = delta_vector(s)
+            reflexive = is_symmetric(dv) and degree(dv) == d
+            assert dual_is_lattice(rows) == reflexive == all(row.b == 1 for row in rows), s
+    assert fano == 94
 
 
 def test_translated_hrep_requires_fano_class():
@@ -168,9 +188,55 @@ def test_increment_at_most_one_agreement_small():
             assert c.fano_theorem == (s[-1] == len(s) + 1) == c.fano_delta
 
 
-def test_classify_general_sequence_brute_force_interior():
-    # no class theorem applies; interior point found by enumeration
-    c = classify((3, 1, 2))
-    if c.fano_delta:
-        assert c.interior_point is not None
-    assert c.fano_theorem is None
+def _interior_oracle(s):
+    return [p for p in lattice_points(s, 1) if contains(s, p, strict=True)]
+
+
+def test_interior_chain_bounds_the_interior_points():
+    for d in range(1, 5):
+        for s in product(range(1, 7), repeat=d):
+            inside = _interior_oracle(s)
+            least, greatest = _interior_chain(s)
+            if inside:
+                assert (least, greatest) == (min(inside), max(inside)), s
+            else:
+                assert (least, greatest) == (None, None), s
+            assert (least is not None and least == greatest) == (delta_vector(s)[d] == 1), s
+
+
+def test_classify_general_sequence_interior_point():
+    # no class theorem applies, so the interior point comes from the chain alone
+    general = fano = 0
+    for d in range(1, 5):
+        for s in product(range(1, 7), repeat=d):
+            if sequence_class(s).tag != GENERAL:
+                continue
+            inside = _interior_oracle(s)
+            c = classify(s)
+            assert c.fano_theorem is None
+            assert c.interior_point == (inside[0] if len(inside) == 1 else None), s
+            general += 1
+            fano += c.interior_point is not None
+    assert (general, fano) == (1160, 135)
+    assert classify((3, 5, 2, 6, 4)).interior_point == (1, 2, 1, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "s, inside, planted",
+    [
+        ((5, 2, 7, 3, 6), 2, 1),  # delta_d says one interior point
+        ((3, 5, 2, 6, 4), 1, 0),  # delta_d says none
+    ],
+)
+def test_delta_must_agree_with_the_chain_on_the_interior_point(s, inside, planted):
+    assert len(_interior_oracle(s)) == inside
+    with pytest.raises(MathematicalInconsistencyError, match="interior points"):
+        classify(s, _delta=delta_vector(s)[:-1] + (planted,))
+
+
+def test_interior_point_formula_must_agree_with_the_chain(monkeypatch):
+    # the package attribute hallwalk.classify is the function, not the module
+    module = sys.modules["hallwalk.classify"]
+    monkeypatch.setattr(module, "_interior_point_formula", lambda name, seq: (1, 1, 1))
+    with pytest.raises(MathematicalInconsistencyError):
+        classify((2, 3, 4))
