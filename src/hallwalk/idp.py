@@ -11,15 +11,12 @@ sum to the original point.
 The decision procedure is independent of the peel: it checks the identity
 kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level, which is
 equivalent to full decomposability by induction on k.  No sumset is
-formed.  Both memberships y in P and z - y in (k-1)P are chains that
-couple only adjacent coordinates, so one walk over the targets z decides
-every z at once: each node of the walk keeps the set of y_i that extend
-to a split of the suffix fixed so far (`undecomposable_targets`).  The
-brute-force sumset `first_undecomposable` stays as the tests' oracle.
+formed: y in P and z - y in (k-1)P are chains that couple only adjacent
+coordinates, so a transfer from z_d down, memoized on what the suffix
+leaves open, finds the least target that does not split.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import MathematicalInconsistencyError, PreconditionError, UnsupportedSequenceError
 from .polytope import check_budget, check_s, contains, count, reflect, reverse
@@ -117,110 +114,92 @@ class IdpResult:
 def first_undecomposable(targets, lower, ground) -> tuple[int, ...] | None:
     """Lexicographically least target not expressible as lower + ground.
 
-    The brute-force sumset; `is_idp` does not call it, the tests use it as
-    the oracle for `undecomposable_targets`.
+    The brute-force sumset, kept as the tests' oracle; `is_idp` does not call it.
     """
     sums = {tuple(a + b for a, b in zip(u, v)) for u in lower for v in ground}
     missing = [z for z in targets if z not in sums]
     return min(missing) if missing else None
 
 
-def _spans(seq, k: int) -> list[list[range]]:
-    """spans[i][z]: the values of y_i that 0 <= y_i <= s_i and 0 <= z - y_i <= (k-1)*s_i allow."""
-    return [
-        [range(max(0, z - (k - 1) * v), min(v, z) + 1) for z in range(k * v + 1)]
-        for v in seq
-    ]
+def _span(seq, k: int, i: int, z: int) -> range:
+    """The values of y_i that 0 <= y_i <= s_i and 0 <= z - y_i <= (k-1)*s_i allow."""
+    return range(max(0, z - (k - 1) * seq[i]), min(seq[i], z) + 1)
 
 
-def reachability_tests(s, k: int) -> int:
-    """Exact number of interval tests `undecomposable_targets(s, k)` makes.
+def least_undecomposable(s, k: int, budget=None, spent: int = 0):
+    """Least z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
 
-    A node of its walk at level i < d makes one test per candidate y_i.
-    The nodes with z_i = v are the suffixes (z_i, ..., z_d) of points of
-    k*P ending there, counted level by level with suffix sums over the
-    chain bounds, the mirror of the prefix sums of `count`.
-    """
-    seq = check_s(s)
-    spans = _spans(seq, k)
-    nodes = [1] * (k * seq[-1] + 1)
-    tests = 0
-    for i in range(len(seq) - 2, -1, -1):
-        suffix = list(accumulate(reversed(nodes)))[::-1]
-        nodes = [suffix[-(-seq[i + 1] * v // seq[i])] for v in range(k * seq[i] + 1)]
-        tests += sum(n * len(span) for n, span in zip(nodes, spans[i]))
-    return tests
-
-
-def undecomposable_targets(s, k: int) -> list[tuple[int, ...]]:
-    """All z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
-
-    Walks the targets from z_d down, as `lattice_points` does.  Each node
-    carries a bitmask of the y_i for which some y_i, ..., y_d satisfies
-    both chains on the suffix fixed so far.  Below level d, y_i stays in
-    the mask when the parent's mask meets
+    A node fixes (z_i, ..., z_d) and masks the y_i that extend to a split:
+    below level d, y_i stays when the parent's mask meets
     [ceil(s_{i+1} y_i / s_i), z_{i+1} - ceil(s_{i+1} (z_i - y_i) / s_i)].
-    A leaf whose mask is empty is a target that does not decompose.
-    Unguarded: its work is `reachability_tests(s, k)`, which `is_idp`
-    charges first.
+    Each state (i, z_{i+1}, parent mask) is solved once, for its least missing
+    prefix, after its tests (with d = 1, one per target) join the running
+    total `spent` charged to `budget`, so all it keeps is paid for first.
+    Returns (z or None, spent).
     """
     seq = check_s(s)
     d = len(seq)
-    spans = _spans(seq, k)
-    # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i))
-    # per candidate y_i; at most one entry per test, so the budget bounds it too
-    windows = [
-        [[(1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i])) for y in span]
-         for z, span in enumerate(spans[i])]
-        for i in range(d - 1)
-    ]
-    missing: list[tuple[int, ...]] = []
-    point = [0] * d
+    # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i)) per y_i
+    windows: list[list[list[tuple[int, int, int]]]] = [[] for _ in seq]
+    memo: dict[tuple[int, int, int], tuple[int, ...] | None] = {}
 
-    def descend(i: int, z_up: int, reach_up: int) -> None:
+    def least(i: int, z_up: int, reach_up: int) -> tuple[int, ...] | None:
         # i is 0-based; z_up and reach_up belong to the parent at level i + 1
+        nonlocal spent
+        if i < 0:
+            return None if reach_up else ()
+        if (i, z_up, reach_up) in memo:
+            return memo[i, z_up, reach_up]
+        top = seq[i] * z_up // seq[i + 1]
+        spent += sum(len(_span(seq, k, i, z)) for z in range(top + 1))
+        check_budget(spent, budget, f"the IDP transfer of P^{seq} up to {k}*P")
         level = windows[i]
-        for z in range(seq[i] * z_up // seq[i + 1] + 1):
+        level += (
+            [(1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i]))
+             for y in _span(seq, k, i, z)]
+            for z in range(len(level), top + 1)
+        )
+        best = None
+        for z in range(top + 1):
             reach = 0
             for bit, low, high in level[z]:
                 if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
                     reach |= bit
-            point[i] = z
-            if i:
-                descend(i - 1, z, reach)
-            elif not reach:
-                missing.append(tuple(point))
+            below = least(i - 1, z, reach)
+            if below is not None and (best is None or below + (z,) < best):
+                best = below + (z,)
+        memo[i, z_up, reach_up] = best
+        return best
 
-    for z, span in enumerate(spans[-1]):
-        point[-1] = z
-        reach = (1 << span.stop) - (1 << span.start) if span else 0
-        if d > 1:
-            descend(d - 2, z, reach)
-        elif not reach:
-            missing.append(tuple(point))
-    return missing
+    if d == 1:
+        spent += k * seq[0] + 1
+        check_budget(spent, budget, f"the IDP transfer of P^{seq} up to {k}*P")
+    best = None
+    for z in range(k * seq[-1] + 1):
+        span = _span(seq, k, d - 1, z)
+        below = least(d - 2, z, (1 << span.stop) - (1 << span.start) if span else 0)
+        if below is not None and (best is None or below + (z,) < best):
+            best = below + (z,)
+    return best, spent
 
 
 def is_idp(s, k_max=None, budget=None) -> IdpResult:
     """Decide kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
 
-    Each level is decided by `undecomposable_targets`, one reachability
-    walk over the targets with no sumset.  Before it, `count` refuses a
-    dilate too large to walk and the walk's exact test count is charged
-    to `budget`.  Generators of the cone over a d-polytope live in
-    degrees <= d-1, so a first failure beyond that cannot occur; larger K
-    is available for paranoid sweeps.  On failure the smallest failing k
-    and the lexicographically least undecomposable target are reported.
+    One budget covers the call: `count` of K*P, then the tests of
+    `least_undecomposable` at every k as one running total.  Generators of
+    the cone over a d-polytope live in degrees <= d-1, so a first failure
+    beyond that cannot occur; larger K is for paranoid sweeps.  On failure
+    the smallest failing k and its least undecomposable target are reported.
     """
     seq = check_s(s)
-    d = len(seq)
-    top = max(2, d - 1) if k_max is None else int(k_max)
+    top = max(2, len(seq) - 1) if k_max is None else int(k_max)
     if top < 2:
         raise PreconditionError(f"k_max must be >= 2, got {k_max}")
+    count(seq, top, budget=budget)
+    spent = 0
     for k in range(2, top + 1):
-        count(seq, k, budget=budget)
-        check_budget(reachability_tests(seq, k), budget, f"the reachability walk of {k}*P^{seq}")
-        missing = undecomposable_targets(seq, k)
-        if missing:
-            return IdpResult(False, k, min(missing))
+        witness, spent = least_undecomposable(seq, k, budget, spent)
+        if witness is not None:
+            return IdpResult(False, k, witness)
     return IdpResult(True, top, None)

@@ -118,7 +118,7 @@ def check_budget(cost: int, budget, what: str) -> None:
     """Refuse work of `cost` steps over `budget` before doing it; None means unlimited.
 
     Every guard in the package calls this with the exact size of the work
-    it is about to do.
+    it is about to do, or with a running total that already includes it.
     """
     if budget is not None and cost > budget:
         raise BudgetExceededError(f"{what} takes {cost} steps, over budget {budget}")

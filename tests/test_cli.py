@@ -59,6 +59,20 @@ def test_decompose_command(capsys):
     assert payload["parts"] == [[0, 1], [1, 2]]
 
 
+def test_decompose_budget_is_the_coordinate_count(capsys, monkeypatch):
+    # 3 parts of 2 coordinates; time and memory grow linearly in k
+    monkeypatch.setenv("HALLWALK_BUDGET", "6")
+    assert out_json(capsys, "decompose", "1,2", "3", "1,3")["parts"] == [[0, 0], [0, 1], [1, 2]]
+    monkeypatch.setenv("HALLWALK_BUDGET", "5")
+    code, _, err = run(capsys, "decompose", "1,2", "3", "1,3")
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+    monkeypatch.delenv("HALLWALK_BUDGET")
+    code, _, err = run_within(capsys, 1.0, "decompose", "1,2", "10000000", "0,0")
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+
+
 def test_triangulate_command(capsys):
     payload = out_json(capsys, "triangulate", "1,2", "--verify-samples", "60", "--seed", "4")
     assert payload["simplices"] == [[[0, 0], [1, 2], [0, 1]], [[0, 1], [1, 2], [0, 2]]]
@@ -200,6 +214,35 @@ def test_point_listing_charges_its_count_first(capsys, monkeypatch, argv):
     payload = json.loads(err)
     assert payload["error"] == "budget-exceeded"
     assert payload["message"].startswith("counting the points")
+
+
+@pytest.mark.parametrize(
+    "budget, argv, refusal",
+    [
+        (None, ("idp", "2", "--idp-max-k", "100000000"), "counting the points of 100000000*P"),
+        ("100000", ("idp", "2", "--idp-max-k", "4000"), "the IDP transfer"),
+        ("1000000", ("idp", "1,2", "--idp-max-k", "600"), "the IDP transfer"),
+    ],
+    ids=["largest-count", "d1-levels", "d2-levels"],
+)
+def test_idp_budget_covers_every_dilate_at_once(capsys, monkeypatch, budget, argv, refusal):
+    # each dilate fits the budget alone; their sum, or the largest count, does not
+    if budget is None:
+        monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("HALLWALK_BUDGET", budget)
+    code, _, err = run_within(capsys, 1.0, *argv)
+    assert code == 3
+    assert json.loads(err)["message"].startswith(refusal)
+
+
+@pytest.mark.parametrize("s", ["8,7,6,5,4,3,2", "2,3,4,5,6,7,8"])
+def test_idp_default_budget_admits_d_7(capsys, monkeypatch, s):
+    # the walk over all targets made more tests than the budget at k = 6
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, out, _ = run_within(capsys, 1.0, "idp", s)
+    assert code == 0
+    assert json.loads(out)["k_checked"] == 6
 
 
 def test_idp_default_budget_admits_a_cheap_sumset(capsys, monkeypatch):

@@ -11,10 +11,9 @@ from hallwalk.idp import (
     first_undecomposable,
     greedy_peel,
     is_idp,
-    reachability_tests,
-    undecomposable_targets,
+    least_undecomposable,
 )
-from hallwalk.polytope import contains, lattice_points
+from hallwalk.polytope import check_s, contains, lattice_points
 
 
 def small_sequences(dmax, smax):
@@ -104,17 +103,76 @@ def test_is_idp_budget():
         is_idp((6, 6, 6, 6), budget=500)
 
 
-def test_is_idp_budget_is_the_walk_size():
-    # at k=2 the walk over 2P^(2,3) makes 34 interval tests; its count charges 17 cells
-    assert reachability_tests((2, 3), 2) == 34
-    with pytest.raises(BudgetExceededError, match="reachability walk"):
-        is_idp((2, 3), budget=33)
-    assert is_idp((2, 3), budget=34).ok
+def undecomposable_targets(s, k: int) -> list[tuple[int, ...]]:
+    """All z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
+
+    The unmemoized walk, kept as a second oracle: it visits every target
+    from z_d down and carries the bitmask of y_i for which some y_i, ...,
+    y_d satisfies both chains on the suffix fixed so far.  It reads the
+    same `idp._span` as `least_undecomposable`.
+    """
+    seq = check_s(s)
+    d = len(seq)
+    spans = [[idp._span(seq, k, i, z) for z in range(k * v + 1)] for i, v in enumerate(seq)]
+    # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i))
+    # per candidate y_i
+    windows = [
+        [[(1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i])) for y in span]
+         for z, span in enumerate(spans[i])]
+        for i in range(d - 1)
+    ]
+    missing: list[tuple[int, ...]] = []
+    point = [0] * d
+
+    def descend(i: int, z_up: int, reach_up: int) -> None:
+        # i is 0-based; z_up and reach_up belong to the parent at level i + 1
+        level = windows[i]
+        for z in range(seq[i] * z_up // seq[i + 1] + 1):
+            reach = 0
+            for bit, low, high in level[z]:
+                if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
+                    reach |= bit
+            point[i] = z
+            if i:
+                descend(i - 1, z, reach)
+            elif not reach:
+                missing.append(tuple(point))
+
+    for z, span in enumerate(spans[-1]):
+        point[-1] = z
+        reach = (1 << span.stop) - (1 << span.start) if span else 0
+        if d > 1:
+            descend(d - 2, z, reach)
+        elif not reach:
+            missing.append(tuple(point))
+    return missing
 
 
-def test_default_budget_refuses_no_small_sequence(monkeypatch):
-    # the guards alone are under test, so the walk itself is skipped
-    monkeypatch.setattr(idp, "undecomposable_targets", lambda s, k: [])
+def least_of(missing):
+    return min(missing) if missing else None
+
+
+def walk_tests(s, k):
+    """Tests the walk makes: one per candidate y_i at each node (z_i, ..., z_d), i < d."""
+    return sum(
+        len(idp._span(s, k, i, z[0]))
+        for i in range(len(s) - 1)
+        for z in {p[i:] for p in lattice_points(s, k)}
+    )
+
+
+@pytest.mark.parametrize("s, tests, walk", [((2, 3), 34, 34), ((2, 2, 2, 2), 261, 831)], ids=["d2", "d4"])
+def test_is_idp_budget_is_the_running_total(s, tests, walk):
+    # one total over k = 2..K; the count of K*P charges fewer cells (17 and 49).
+    # Below a node the transfer depends only on (i, z_{i+1}, mask), so at d = 4
+    # its states make fewer tests than the walk's nodes.
+    assert sum(walk_tests(s, k) for k in range(2, max(2, len(s) - 1) + 1)) == walk
+    with pytest.raises(BudgetExceededError, match="IDP transfer"):
+        is_idp(s, budget=tests - 1)
+    assert is_idp(s, budget=tests).ok
+
+
+def test_default_budget_refuses_no_small_sequence():
     for s in product(range(1, 4), repeat=6):
         assert is_idp(s, budget=DEFAULT_BUDGET).ok, s
 
@@ -135,32 +193,20 @@ def test_walk_matches_the_sumset_oracle():
             targets = lattice_points(s, k)
             expected = oracle_missing(targets, lower, ground)
             assert set(undecomposable_targets(s, k)) == expected, (s, k)
+            assert least_undecomposable(s, k)[0] == least_of(expected), (s, k)
             lower = targets
-
-
-def test_reachability_tests_counts_every_node_candidate():
-    # a node at level i < d is a suffix (z_i, ..., z_d) of a target; it tests each
-    # y_i with 0 <= y_i <= s_i and 0 <= z_i - y_i <= (k-1)*s_i
-    for s in small_sequences(3, 3):
-        for k in (2, 3):
-            targets = lattice_points(s, k)
-            expected = sum(
-                len(range(max(0, z[0] - (k - 1) * s[i]), min(s[i], z[0]) + 1))
-                for i in range(len(s) - 1)
-                for z in {p[i:] for p in targets}
-            )
-            assert reachability_tests(s, k) == expected, (s, k)
 
 
 @pytest.fixture
 def ground_below_top(monkeypatch):
     """Plant a failure: parts y must have y_d < s_d, so P loses its points with x_d = s_d."""
-    spans = idp._spans
+    span = idp._span
 
-    def planted(seq, k):
-        return [[range(r.start, min(r.stop, v)) for r in level] for v, level in zip(seq, spans(seq, k))]
+    def planted(seq, k, i, z):
+        r = span(seq, k, i, z)
+        return range(r.start, min(r.stop, seq[i]))
 
-    monkeypatch.setattr(idp, "_spans", planted)
+    monkeypatch.setattr(idp, "_span", planted)
 
 
 @pytest.mark.parametrize("s", [(2, 3), (1, 2, 3), (3, 1, 2), (2, 2)])
@@ -170,6 +216,7 @@ def test_planted_failure_matches_the_oracle(ground_below_top, s):
         missing = undecomposable_targets(s, k)
         assert missing  # leaves with an empty mask
         assert set(missing) == oracle_missing(lattice_points(s, k), lattice_points(s, k - 1), ground)
+        assert least_undecomposable(s, k)[0] == min(missing)
     least = first_undecomposable(lattice_points(s, 2), lattice_points(s, 1), ground)
     assert is_idp(s, k_max=3) == IdpResult(False, 2, least)
 
@@ -193,11 +240,11 @@ def test_walk_matches_brute_force_under_random_restrictions(monkeypatch):
     # failures planted by narrowing random spans: y_i must also lie in a
     # random subrange chosen per (level, z_i).
     rng = random.Random(5)
-    spans = idp._spans
+    span = idp._span
     for s in small_sequences(3, 3):
         for k in (2, 3):
-            narrowed = [[narrow(r, rng) for r in level] for level in spans(s, k)]
-            monkeypatch.setattr(idp, "_spans", lambda seq, k: narrowed)
+            narrowed = [[narrow(span(s, k, i, z), rng) for z in range(k * v + 1)] for i, v in enumerate(s)]
+            monkeypatch.setattr(idp, "_span", lambda seq, k, i, z: narrowed[i][z])
             lower = set(lattice_points(s, k - 1))
             expected = {
                 z for z in lattice_points(s, k)
@@ -208,12 +255,12 @@ def test_walk_matches_brute_force_under_random_restrictions(monkeypatch):
                 )
             }
             assert set(undecomposable_targets(s, k)) == expected, (s, k)
+            assert least_undecomposable(s, k)[0] == least_of(expected), (s, k)
 
 
 def test_is_idp_reports_the_least_witness_of_the_first_failing_k(monkeypatch):
-    # the walk lists targets by z_d first; the witness is the least by z_1 first
-    missing = {2: [], 3: [(2, 3), (1, 6)]}
-    monkeypatch.setattr(idp, "undecomposable_targets", lambda s, k: missing.get(k, [(0, 0)]))
+    witnesses = {2: None, 3: (1, 6)}
+    monkeypatch.setattr(idp, "least_undecomposable", lambda s, k, budget, spent: (witnesses.get(k, (0, 0)), spent))
     assert is_idp((2, 3), k_max=4) == IdpResult(False, 3, (1, 6))
 
 
