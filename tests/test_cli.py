@@ -1,6 +1,5 @@
 import json
-import signal
-import time
+import multiprocessing
 
 import pytest
 
@@ -57,6 +56,8 @@ def test_idp_command_non_monotone(capsys):
 def test_decompose_command(capsys):
     payload = out_json(capsys, "decompose", "1,2", "2", "1,3")
     assert payload["parts"] == [[0, 1], [1, 2]]
+    payload = out_json(capsys, "decompose", "2,1,2", "2", "1,1,3")
+    assert payload["parts"] == [[0, 0, 1], [1, 1, 2]]
 
 
 def test_decompose_budget_is_the_coordinate_count(capsys, monkeypatch):
@@ -140,26 +141,26 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
-class _Expired(Exception):
-    pass
-
-
 def run_within(capsys, seconds, *argv):
-    """run(), but a missing budget check fails after `seconds` instead of hanging."""
+    """run() in a forked child, so a missing budget check fails after `seconds` instead of hanging.
 
-    def expire(signum, frame):
-        raise _Expired(f"{argv[0]} ran for {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    start = time.perf_counter()
-    try:
-        code, out, err = run(capsys, *argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < seconds
-    return code, out, err
+    The child is stopped from outside: an exception raised from a signal
+    handler can land in any frame, and pytest may then crash while
+    formatting it instead of failing the one test.
+    """
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: send.send(run(capsys, *argv)))
+    child.start()
+    send.close()
+    with receive:
+        child.join(seconds)
+        if child.is_alive():
+            child.terminate()
+            child.join()
+            pytest.fail(f"{argv[0]} ran for more than {seconds} s")
+        assert child.exitcode == 0, f"{argv[0]} died with exit code {child.exitcode}"
+        return receive.recv()
 
 
 def test_delta_refuses_over_budget_quickly(capsys, monkeypatch):

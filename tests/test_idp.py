@@ -1,12 +1,12 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from hallwalk import DEFAULT_BUDGET, idp
-from hallwalk.errors import BudgetExceededError, PreconditionError, UnsupportedSequenceError
+from hallwalk.errors import BudgetExceededError, MathematicalInconsistencyError, PreconditionError
 from hallwalk.idp import (
-    IdpResult,
     decompose,
     first_undecomposable,
     greedy_peel,
@@ -37,8 +37,6 @@ def test_greedy_peel_examples():
 
 
 def test_greedy_peel_preconditions():
-    with pytest.raises(UnsupportedSequenceError):
-        greedy_peel((3, 2), 2, (0, 0))
     with pytest.raises(PreconditionError):
         greedy_peel((1, 2), 2, (5, 5))
     with pytest.raises(PreconditionError):
@@ -46,9 +44,7 @@ def test_greedy_peel_preconditions():
 
 
 def test_greedy_peel_postconditions_exhaustive_small():
-    for s in weakly_monotone(3, 4):
-        if any(a > b for a, b in zip(s, s[1:])):
-            continue  # peel is defined on the increasing representative
+    for s in small_sequences(3, 4):
         for k in (2, 3):
             for x in lattice_points(s, k):
                 y = greedy_peel(s, k, x)
@@ -75,9 +71,22 @@ def test_decompose_handles_decreasing_sequences():
             assert all(contains(s, p) for p in result.parts)
 
 
-def test_decompose_rejects_non_monotone():
-    with pytest.raises(UnsupportedSequenceError):
-        decompose((2, 1, 2), 2, (0, 0, 0))
+def test_decompose_splits_non_monotone_sequences():
+    # layer l clamps x_i/s_i - l + 1 to [0, 1]; the ratios x_i/s_i here are 1/2, 1, 3/2 and 4/3, 2, 5/2
+    assert decompose((2, 1, 2), 2, (1, 1, 3)).parts == ((0, 0, 1), (1, 1, 2))
+    assert decompose((3, 1, 2), 3, (4, 2, 5)).parts == ((0, 0, 1), (1, 1, 2), (3, 1, 2))
+
+
+def test_layers_split_every_point_for_every_s():
+    for s in small_sequences(3, 4):
+        for k in (1, 2, 3):
+            for x in lattice_points(s, k):
+                parts = decompose(s, k, x).parts
+                assert len(parts) == k
+                assert all(contains(s, p) for p in parts), (s, k, x)
+                assert tuple(sum(c) for c in zip(*parts)) == x
+                if k > 1:
+                    assert parts[0] == greedy_peel(s, k, x)
 
 
 def test_is_idp_examples():
@@ -209,6 +218,14 @@ def ground_below_top(monkeypatch):
     monkeypatch.setattr(idp, "_span", planted)
 
 
+def raises_witness(s, k, witness):
+    """is_idp's refusal when the transfer finds `witness` at level k, against the layer split."""
+    return pytest.raises(
+        MathematicalInconsistencyError,
+        match=re.escape(f"proves {k}*P^{s} = {k - 1}*P + P, but the transfer finds no split of {witness}"),
+    )
+
+
 @pytest.mark.parametrize("s", [(2, 3), (1, 2, 3), (3, 1, 2), (2, 2)])
 def test_planted_failure_matches_the_oracle(ground_below_top, s):
     ground = [p for p in lattice_points(s, 1) if p[-1] < s[-1]]
@@ -218,13 +235,15 @@ def test_planted_failure_matches_the_oracle(ground_below_top, s):
         assert set(missing) == oracle_missing(lattice_points(s, k), lattice_points(s, k - 1), ground)
         assert least_undecomposable(s, k)[0] == min(missing)
     least = first_undecomposable(lattice_points(s, 2), lattice_points(s, 1), ground)
-    assert is_idp(s, k_max=3) == IdpResult(False, 2, least)
+    with raises_witness(s, 2, least):
+        is_idp(s, k_max=3)
 
 
 def test_planted_failure_reports_the_least_witness(ground_below_top):
     # the points of 2P^(2,3) with z_2 = 6 need y_2 = 3, which the planted ground lacks
     assert sorted(undecomposable_targets((2, 3), 2)) == [(0, 6), (1, 6), (2, 6), (3, 6), (4, 6)]
-    assert is_idp((2, 3), k_max=3) == IdpResult(False, 2, (0, 6))
+    with raises_witness((2, 3), 2, (0, 6)):
+        is_idp((2, 3), k_max=3)
 
 
 def narrow(r, rng):
@@ -261,7 +280,8 @@ def test_walk_matches_brute_force_under_random_restrictions(monkeypatch):
 def test_is_idp_reports_the_least_witness_of_the_first_failing_k(monkeypatch):
     witnesses = {2: None, 3: (1, 6)}
     monkeypatch.setattr(idp, "least_undecomposable", lambda s, k, budget, spent: (witnesses.get(k, (0, 0)), spent))
-    assert is_idp((2, 3), k_max=4) == IdpResult(False, 3, (1, 6))
+    with raises_witness((2, 3), 3, (1, 6)):
+        is_idp((2, 3), k_max=4)
 
 
 def test_first_undecomposable_is_order_independent():
