@@ -15,9 +15,10 @@ The cross-check `is_idp` is independent of the split: it checks the identity
 kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level, which is
 equivalent to full decomposability by induction on k.  No sumset is
 formed: y in P and z - y in (k-1)P are chains that couple only adjacent
-coordinates, so a transfer from z_d down, memoized on what the suffix
-leaves open, finds the least target that does not split.  By the proof
-above that target does not exist, so a witness is an inconsistency.
+coordinates, so one pass from z_d down, which keeps per coordinate only
+the distinct pairs (z_i, the y_i the suffix leaves open), finds the least
+target that does not split.  By the proof above that target does not
+exist, so a witness is an inconsistency.
 """
 
 from dataclasses import dataclass
@@ -111,66 +112,102 @@ def _span(seq, k: int, i: int, z: int) -> range:
     return range(max(0, z - (k - 1) * seq[i]), min(seq[i], z) + 1)
 
 
+def _roots(seq, k: int):
+    """The states the last coordinate hands down, one per value z of it: (z, mask of the y in its span)."""
+    for z in range(k * seq[-1] + 1):
+        span = _span(seq, k, len(seq) - 1, z)
+        yield z, (1 << span.stop) - (1 << span.start) if span else 0
+
+
+def _tests(seq, k: int, i: int, z_ups, budget, spent: int, what: str) -> int:
+    """spent plus the tests of level i: a state at z_{i+1} tests every y_i in the spans of z_i = 0..top.
+
+    `z_ups` gives z_{i+1} once per state, in ascending order.  The span
+    lengths are summed in step with top, with no table, and a partial total
+    over the budget is refused at once.
+    """
+    tests = z = 0  # tests: the span lengths summed over z_i < z
+    for z_up in z_ups:
+        while z <= seq[i] * z_up // seq[i + 1]:
+            tests += len(_span(seq, k, i, z))
+            z += 1
+            check_budget(spent + tests, budget, what)
+        spent += tests
+    check_budget(spent, budget, what)
+    return spent
+
+
+def _window(seq, k: int, i: int, z: int) -> list[tuple[int, int, int]]:
+    """(bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i)) per candidate y_i at z_i = z."""
+    return [
+        (1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i]))
+        for y in _span(seq, k, i, z)
+    ]
+
+
+def _masks(windows, z_up: int, reach_up: int, top: int) -> list[int]:
+    """Per z_i = 0..top, the mask of the y_i that extend the state (z_{i+1}, mask) = (z_up, reach_up).
+
+    y_i extends it when reach_up meets
+    [ceil(s_{i+1} y_i / s_i), z_{i+1} - ceil(s_{i+1} (z_i - y_i) / s_i)].
+    """
+    masks = []
+    for window in windows[: top + 1]:
+        reach = 0
+        for bit, low, high in window:
+            if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
+                reach |= bit
+        masks.append(reach)
+    return masks
+
+
 def least_undecomposable(s, k: int, budget=None, spent: int = 0):
     """Least z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
 
-    A node fixes (z_i, ..., z_d) and masks the y_i that extend to a split:
-    below level d, y_i stays when the parent's mask meets
-    [ceil(s_{i+1} y_i / s_i), z_{i+1} - ceil(s_{i+1} (z_i - y_i) / s_i)].
-    Each state (i, z_{i+1}, parent mask) is solved once, for its least missing
-    prefix, after its tests (with d = 1, one per target) join the running
-    total `spent` charged to `budget`, so all it keeps is paid for first.
-    Returns (z or None, spent).
+    A state (z_i, mask) stands for the suffixes (z_i, ..., z_d) that leave
+    the y_i in mask able to extend to a split.  One pass from z_d down keeps
+    each coordinate's distinct states and solves each once with `_masks`.
+    A state at z_{i+1} tests every candidate y_i over z_i = 0..top, and a
+    level's tests join the running total `spent`, charged to `budget`,
+    before the level builds anything (with d = 1, one test per target).  A
+    state of the first coordinate with an empty mask is a target with no
+    split; only then does a pass back up name the least one.  Returns
+    (z or None, spent).
     """
     seq = check_s(s)
     d = len(seq)
-    # windows[i][z]: (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i)) per y_i
-    windows: list[list[list[tuple[int, int, int]]]] = [[] for _ in seq]
-    # tests[i][t]: candidate y_i over z_i < t; a state whose z_i runs to top makes tests[i][top + 1]
-    tests = [[0] for _ in seq]
-    memo: dict[tuple[int, int, int], tuple[int, ...] | None] = {}
-
-    def least(i: int, z_up: int, reach_up: int) -> tuple[int, ...] | None:
-        # i is 0-based; z_up and reach_up belong to the parent at level i + 1
-        nonlocal spent
-        if i < 0:
-            return None if reach_up else ()
-        if (i, z_up, reach_up) in memo:
-            return memo[i, z_up, reach_up]
-        top = seq[i] * z_up // seq[i + 1]
-        made = tests[i]
-        for z in range(len(made) - 1, top + 1):
-            made.append(made[-1] + len(_span(seq, k, i, z)))
-        spent += made[top + 1]
-        check_budget(spent, budget, f"the IDP transfer of P^{seq} up to {k}*P")
-        level = windows[i]
-        level += (
-            [(1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i]))
-             for y in _span(seq, k, i, z)]
-            for z in range(len(level), top + 1)
-        )
-        best = None
-        for z in range(top + 1):
-            reach = 0
-            for bit, low, high in level[z]:
-                if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
-                    reach |= bit
-            below = least(i - 1, z, reach)
-            if below is not None and (best is None or below + (z,) < best):
-                best = below + (z,)
-        memo[i, z_up, reach_up] = best
-        return best
-
+    what = f"the IDP transfer of P^{seq} up to {k}*P"
     if d == 1:
         spent += k * seq[0] + 1
-        check_budget(spent, budget, f"the IDP transfer of P^{seq} up to {k}*P")
-    best = None
-    for z in range(k * seq[-1] + 1):
-        span = _span(seq, k, d - 1, z)
-        below = least(d - 2, z, (1 << span.stop) - (1 << span.start) if span else 0)
-        if below is not None and (best is None or below + (z,) < best):
-            best = below + (z,)
-    return best, spent
+        check_budget(spent, budget, what)
+    # i is 0-based.  states[i]: the distinct (z_i, mask of y_i) that level i hands down, for
+    # i < d - 1; the last coordinate alone fixes a root, so roots are produced again, not kept
+    states: dict[int, set[tuple[int, int]]] = {}
+    windows: dict[int, list[list[tuple[int, int, int]]]] = {}
+
+    def handed(i: int):
+        return _roots(seq, k) if i == d - 1 else states[i]
+
+    for i in range(d - 2, -1, -1):
+        z_ups = range(k * seq[-1] + 1) if i == d - 2 else sorted(z for z, _ in states[i + 1])
+        spent = _tests(seq, k, i, z_ups, budget, spent, what)
+        windows[i] = [_window(seq, k, i, z) for z in range(seq[i] * z_ups[-1] // seq[i + 1] + 1)]
+        below = states[i] = set()
+        for z_up, reach_up in handed(i + 1):
+            below.update(enumerate(_masks(windows[i], z_up, reach_up, seq[i] * z_up // seq[i + 1])))
+    if all(reach for _, reach in handed(0)):
+        return None, spent
+    # least[state]: the least missing prefix (z_0, ..., z_i) below a state at z_{i+1}, if it has one
+    least = {(z, 0): () for z, reach in handed(0) if not reach}
+    for i in range(d - 1):
+        solved = {}
+        for z_up, reach_up in handed(i + 1):
+            masks = _masks(windows[i], z_up, reach_up, seq[i] * z_up // seq[i + 1])
+            found = [least[z, reach] + (z,) for z, reach in enumerate(masks) if (z, reach) in least]
+            if found:
+                solved[z_up, reach_up] = min(found)
+        least = solved
+    return min(prefix + (z,) for (z, _), prefix in least.items()), spent
 
 
 def is_idp(s, k_max=None, budget=None) -> IdpResult:
@@ -179,11 +216,11 @@ def is_idp(s, k_max=None, budget=None) -> IdpResult:
     The layer split proves the identity for every s and k; the transfer
     re-derives it independently.  One budget covers the call: `count` of
     K*P, then the tests of `least_undecomposable` at every k as one running
-    total.  Generators of the cone over a d-polytope live in degrees <= d-1,
-    so a first failure beyond that cannot occur; larger K is for paranoid
-    sweeps.  A witness contradicts the proof and raises
-    MathematicalInconsistencyError naming the least target of the smallest
-    failing k.
+    total, charged a level at a time before the level builds anything.
+    Generators of the cone over a d-polytope live in degrees <= d-1, so a
+    first failure beyond that cannot occur; larger K is for paranoid sweeps.
+    A witness contradicts the proof and raises MathematicalInconsistencyError
+    naming the least target of the smallest failing k.
     """
     seq = check_s(s)
     top = max(2, len(seq) - 1) if k_max is None else int(k_max)

@@ -182,6 +182,15 @@ def test_compose_refuses_over_budget_quickly(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+def test_idp_refuses_over_budget_before_it_allocates(capsys, monkeypatch):
+    # below z_2 = 1 the transfer tests about 5 * 10^11 candidates y_1 over z_1 = 0..10^6;
+    # a table of the 2,000,001 span lengths alone would take seconds to build
+    monkeypatch.setenv("HALLWALK_BUDGET", "5000000")
+    code, _, err = run_within(capsys, 1.0, "idp", "1000000,1")
+    assert code == 3
+    assert json.loads(err)["message"].startswith("the IDP transfer")
+
+
 def test_gorenstein_index_of_a_cheap_polytope_is_not_refused(capsys, monkeypatch):
     # the standard 8-simplex has 9 lattice points; confirming its index 9 by
     # the delta of its 9th dilate would enumerate 9^8 = 43,046,721 sequences

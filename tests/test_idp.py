@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -157,6 +158,57 @@ def undecomposable_targets(s, k: int) -> list[tuple[int, ...]]:
     return missing
 
 
+def memoized_least(s, k: int, spent: int = 0):
+    """The recursive transfer that the level pass replaced, kept as the oracle of its witness and charges.
+
+    least(i, z_{i+1}, mask) is solved on its first visit, depth first, and
+    memoized; its tests over z_i = 0..top join `spent` when it is first visited.
+    It reads the same `idp._span` as `least_undecomposable`.
+    """
+    seq = check_s(s)
+    d = len(seq)
+
+    def window(i, z):
+        # (bit of y_i, ceil(s_{i+1} y_i / s_i), ceil(s_{i+1} (z - y_i) / s_i)) per candidate y_i
+        return [
+            (1 << y, -(-seq[i + 1] * y // seq[i]), -(-seq[i + 1] * (z - y) // seq[i]))
+            for y in idp._span(seq, k, i, z)
+        ]
+
+    windows = [[window(i, z) for z in range(k * seq[i] + 1)] for i in range(d - 1)]
+    memo = {}
+
+    def least(i, z_up, reach_up):
+        # i is 0-based; z_up and reach_up belong to the parent at level i + 1
+        nonlocal spent
+        if i < 0:
+            return None if reach_up else ()
+        if (i, z_up, reach_up) not in memo:
+            top = seq[i] * z_up // seq[i + 1]
+            spent += sum(len(idp._span(seq, k, i, z)) for z in range(top + 1))
+            best = None
+            for z in range(top + 1):
+                reach = 0
+                for bit, low, high in windows[i][z]:
+                    if (reach_up & ((2 << (z_up - high)) - 1)) >> low:
+                        reach |= bit
+                below = least(i - 1, z, reach)
+                if below is not None and (best is None or below + (z,) < best):
+                    best = below + (z,)
+            memo[i, z_up, reach_up] = best
+        return memo[i, z_up, reach_up]
+
+    if d == 1:
+        spent += k * seq[0] + 1
+    found = []
+    for z in range(k * seq[-1] + 1):
+        span = idp._span(seq, k, d - 1, z)
+        below = least(d - 2, z, (1 << span.stop) - (1 << span.start) if span else 0)
+        if below is not None:
+            found.append(below + (z,))
+    return min(found, default=None), spent
+
+
 def least_of(missing):
     return min(missing) if missing else None
 
@@ -275,6 +327,65 @@ def test_walk_matches_brute_force_under_random_restrictions(monkeypatch):
             }
             assert set(undecomposable_targets(s, k)) == expected, (s, k)
             assert least_undecomposable(s, k)[0] == least_of(expected), (s, k)
+
+
+def test_level_pass_charges_as_the_memoized_transfer():
+    # the same running total from any starting total, and the budget refuses exactly above it
+    for s in small_sequences(4, 4):
+        for k in (2, 3):
+            witness, spent = memoized_least(s, k, spent=5)
+            assert least_undecomposable(s, k, spent=5) == (witness, spent), (s, k)
+            assert least_undecomposable(s, k, budget=spent, spent=5)[1] == spent
+            with pytest.raises(BudgetExceededError, match="IDP transfer"):
+                least_undecomposable(s, k, budget=spent - 1, spent=5)
+
+
+def test_level_pass_matches_the_memoized_transfer_on_planted_failures(ground_below_top):
+    for s in small_sequences(4, 4):
+        for k in (2, 3):
+            result = least_undecomposable(s, k)
+            assert result[0] is not None
+            assert result == memoized_least(s, k), (s, k)
+
+
+def test_level_pass_matches_the_memoized_transfer_under_random_restrictions(monkeypatch):
+    rng = random.Random(13)
+    span = idp._span
+    failures = 0
+    for s in small_sequences(4, 4):
+        for k in (2, 3):
+            narrowed = [[narrow(span(s, k, i, z), rng) for z in range(k * v + 1)] for i, v in enumerate(s)]
+            monkeypatch.setattr(idp, "_span", lambda seq, k, i, z: narrowed[i][z])
+            result = least_undecomposable(s, k)
+            assert result == memoized_least(s, k), (s, k)
+            failures += result[0] is not None
+    assert failures > 100  # most draws plant a failure somewhere
+
+
+def peak_bytes(work):
+    """The peak of the memory Python allocates while work() runs."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transfer_refuses_before_it_allocates():
+    # below z_2 = 1 a state tests y_1 over z_1 = 0..10^6; a table of its span
+    # lengths alone would take about 40 MB
+    def refused():
+        with pytest.raises(BudgetExceededError, match="IDP transfer"):
+            least_undecomposable((10**6, 1), 2, budget=1000)
+
+    assert peak_bytes(refused) < 1_000_000
+
+
+def test_transfer_keeps_no_root_masks():
+    # the 8,001 roots of P^(1,4000) carry masks of up to 4,001 bits, 3 MB
+    # together; only the states at z_1 = 0, 1, 2 need to be kept
+    assert peak_bytes(lambda: least_undecomposable((1, 4000), 2)) < 1_000_000
 
 
 def test_is_idp_reports_the_least_witness_of_the_first_failing_k(monkeypatch):
