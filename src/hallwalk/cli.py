@@ -117,14 +117,17 @@ def _cmd_compose(args) -> int:
     return EXIT_OK if result.ok else EXIT_INCONSISTENT
 
 
-def search_record(s, budget=None, k_max=None) -> dict:
-    """One sweep record: delta, classification, IDP verdict, witnesses."""
+def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
+    """One sweep record: delta, classification, IDP verdict, witnesses.
+
+    `_levels` is the IDP transfer's memo, shared by the records of one run.
+    """
     record: dict = {"s": list(s), "version": __version__}
     try:
         dv = delta_vector(s, budget=budget)
         record["delta"] = list(dv)
         record["classification"] = classify(s, budget=budget, _delta=dv).to_json()
-        idp_result = is_idp(s, k_max=k_max, budget=budget)
+        idp_result = is_idp(s, k_max=k_max, budget=budget, _levels=_levels)
         record["idp_verdict"] = idp_result.ok
         record["k_checked"] = idp_result.k_checked
     except MathematicalInconsistencyError as exc:
@@ -199,13 +202,14 @@ def _cmd_search(args) -> int:
     out = Path(args.out)
     existing = _read_store(out) if args.resume and out.exists() else {}
     budget = _budget()
+    levels: dict = {}  # the IDP transfer's levels, shared by this run's records only
     lines: dict[tuple, str] = dict(existing)
     new = 0
     with out.open("a") as sink:
         for s in _sweep_sequences(args.dmax, args.smax, args.random, args.seed):
             if s in existing:
                 continue
-            record = search_record(s, budget=budget, k_max=args.idp_max_k)
+            record = search_record(s, budget=budget, k_max=args.idp_max_k, _levels=levels)
             line = json.dumps(record, sort_keys=True)
             sink.write(line + "\n")
             sink.flush()

@@ -18,7 +18,9 @@ formed: y in P and z - y in (k-1)P are chains that couple only adjacent
 coordinates, so one pass from z_d down, which keeps per coordinate only
 the distinct pairs (z_i, the y_i the suffix leaves open), finds the least
 target that does not split.  By the proof above that target does not
-exist, so a witness is an inconsistency.
+exist, so a witness is an inconsistency.  A level of that pass depends only
+on the suffix (s_i, ..., s_d) and k, so a sweep may share the levels between
+its sequences (`_levels`); each is still charged as if it were built.
 """
 
 from dataclasses import dataclass
@@ -161,7 +163,21 @@ def _masks(windows, z_up: int, reach_up: int, top: int) -> list[int]:
     return masks
 
 
-def least_undecomposable(s, k: int, budget=None, spent: int = 0):
+def _keep(levels: dict, key, entry, weight: int, budget) -> None:
+    """Store entry in the memo `levels`, first emptying it if the weight it holds would pass budget.
+
+    `levels["held"]` is the weight of the stored entries: a level's test
+    charge, or a window list's number of candidates.
+    """
+    held = levels.get("held", 0) + weight
+    if budget is not None and held > budget:
+        levels.clear()
+        held = weight
+    levels[key] = entry
+    levels["held"] = held
+
+
+def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     """Least z in k*P^(s) cap Z^d with no y in P cap Z^d such that z - y is in (k-1)*P.
 
     A state (z_i, mask) stands for the suffixes (z_i, ..., z_d) that leave
@@ -173,6 +189,15 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
     state of the first coordinate with an empty mask is a target with no
     split; only then does a pass back up name the least one.  Returns
     (z or None, spent).
+
+    `_levels`, a dict the caller creates empty, shares levels between calls:
+    level i >= 1 depends only on (s_i, ..., s_d) and k, and its windows only
+    on (s_i, s_{i+1}, k).  A stored level is charged its tests as if it were
+    built, and one that would pass the budget has its tests run again, so
+    that the refusal names the same partial total: every (z, spent) and
+    every refusal is the same with or without the memo.  The memo's weight,
+    its levels' tests plus its windows' candidates, never passes `budget`:
+    it is emptied before an entry would pass it.
     """
     seq = check_s(s)
     d = len(seq)
@@ -184,25 +209,52 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
     # i < d - 1; the last coordinate alone fixes a root, so roots are produced again, not kept
     states: dict[int, set[tuple[int, int]]] = {}
     windows: dict[int, list[list[tuple[int, int, int]]]] = {}
+    shared = _levels is not None
 
     def handed(i: int):
         return _roots(seq, k) if i == d - 1 else states[i]
 
+    def z_ups(i: int):
+        return range(k * seq[-1] + 1) if i == d - 2 else sorted(z for z, _ in states[i + 1])
+
+    def windows_of(i: int):
+        if i not in windows:
+            key = (seq[i], seq[i + 1], k)
+            if shared and key in _levels:
+                windows[i] = _levels[key]
+            else:
+                # z_{i+1} runs up to k*s_{i+1}, so z_i up to k*s_i
+                windows[i] = [_window(seq, k, i, z) for z in range(k * seq[i] + 1)]
+                if shared:
+                    _keep(_levels, key, windows[i], sum(map(len, windows[i])), budget)
+        return windows[i]
+
     for i in range(d - 2, -1, -1):
-        z_ups = range(k * seq[-1] + 1) if i == d - 2 else sorted(z for z, _ in states[i + 1])
-        spent = _tests(seq, k, i, z_ups, budget, spent, what)
-        windows[i] = [_window(seq, k, i, z) for z in range(seq[i] * z_ups[-1] // seq[i + 1] + 1)]
+        key = (seq[i:], k)
+        if i and shared and key in _levels:
+            states[i], tests = _levels[key]
+            if budget is None or spent + tests <= budget:
+                spent += tests
+            else:  # build the charge again, so that it is refused at the same partial total
+                _tests(seq, k, i, z_ups(i), budget, spent, what)
+            continue
+        before = spent
+        spent = _tests(seq, k, i, z_ups(i), budget, spent, what)
+        level_windows = windows_of(i)
         below = states[i] = set()
         for z_up, reach_up in handed(i + 1):
-            below.update(enumerate(_masks(windows[i], z_up, reach_up, seq[i] * z_up // seq[i + 1])))
+            below.update(enumerate(_masks(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])))
+        if i and shared:
+            _keep(_levels, key, (below, spent - before), spent - before, budget)
     if all(reach for _, reach in handed(0)):
         return None, spent
     # least[state]: the least missing prefix (z_0, ..., z_i) below a state at z_{i+1}, if it has one
     least = {(z, 0): () for z, reach in handed(0) if not reach}
     for i in range(d - 1):
         solved = {}
+        level_windows = windows_of(i)
         for z_up, reach_up in handed(i + 1):
-            masks = _masks(windows[i], z_up, reach_up, seq[i] * z_up // seq[i + 1])
+            masks = _masks(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])
             found = [least[z, reach] + (z,) for z, reach in enumerate(masks) if (z, reach) in least]
             if found:
                 solved[z_up, reach_up] = min(found)
@@ -210,13 +262,15 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0):
     return min(prefix + (z,) for (z, _), prefix in least.items()), spent
 
 
-def is_idp(s, k_max=None, budget=None) -> IdpResult:
+def is_idp(s, k_max=None, budget=None, _levels=None) -> IdpResult:
     """Check kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
 
     The layer split proves the identity for every s and k; the transfer
     re-derives it independently.  One budget covers the call: `count` of
     K*P, then the tests of `least_undecomposable` at every k as one running
     total, charged a level at a time before the level builds anything.
+    `_levels` is the transfer's memo, which `search` shares between the
+    records of one run; it changes no result, charge or refusal.
     Generators of the cone over a d-polytope live in degrees <= d-1, so a
     first failure beyond that cannot occur; larger K is for paranoid sweeps.
     A witness contradicts the proof and raises MathematicalInconsistencyError
@@ -229,7 +283,7 @@ def is_idp(s, k_max=None, budget=None) -> IdpResult:
     count(seq, top, budget=budget)
     spent = 0
     for k in range(2, top + 1):
-        witness, spent = least_undecomposable(seq, k, budget, spent)
+        witness, spent = least_undecomposable(seq, k, budget, spent, _levels=_levels)
         if witness is not None:
             raise MathematicalInconsistencyError(
                 f"the layer split proves {k}*P^{seq} = {k - 1}*P + P, but the "

@@ -30,9 +30,8 @@ lying in a facet of P.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 
 from .errors import UnsupportedSequenceError
 from .intlinalg import determinant, edge_matrix
@@ -88,8 +87,10 @@ def _build(seq) -> list[Simplex]:
 def _lift_cell(cell: Simplex, ratio: int, top: int) -> list[Simplex]:
     floors = [ratio * v[-1] for v in cell]
     heights = [top - f for f in floors]
+    # j * (scale // h) orders the raises as j / h does, ties included, in exact integers
+    scale = lcm(*(h for h in heights if h > 0))
     raises = sorted(
-        (Fraction(j, heights[idx]), cell[idx], idx, j)
+        (j * (scale // heights[idx]), cell[idx], idx, j)
         for idx in range(len(cell))
         if heights[idx] > 0
         for j in range(1, heights[idx] + 1)

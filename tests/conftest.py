@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from hallwalk import delta
+from hallwalk import delta, idp
 
 
 @pytest.fixture
@@ -20,4 +20,13 @@ def delta_calls(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture
+def masks_calls(monkeypatch):
+    """A list that gains one entry per `idp._masks` call, the IDP transfer's unit of work."""
+    calls = []
+    masks = idp._masks
+    monkeypatch.setattr(idp, "_masks", lambda *args: calls.append(None) or masks(*args))
     return calls

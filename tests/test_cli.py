@@ -1,8 +1,18 @@
 import json
 import multiprocessing
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import hallwalk
+from hallwalk import DEFAULT_BUDGET
 from hallwalk.cli import main, search_record
 from hallwalk.errors import BudgetExceededError
 
@@ -317,6 +327,26 @@ def test_search_resume_recovers_from_a_torn_store(tmp_path, capsys):
     )
 
 
+def test_search_resume_after_a_kill_matches_a_single_run(tmp_path, capsys):
+    killed = tmp_path / "killed.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(hallwalk.__file__).parents[1])}
+    argv = ["search", "--dmax", "4", "--smax", "4", "--out"]
+    child = subprocess.Popen([sys.executable, "-m", "hallwalk.cli", *argv, str(killed)], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        while child.poll() is None and not (killed.exists() and b"\n" in killed.read_bytes()):
+            time.sleep(0.001)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL, "the sweep ended before it could be killed"
+    assert 0 < len(killed.read_bytes().splitlines()) < 340
+    out_json(capsys, *argv, str(killed), "--resume")
+    full = tmp_path / "full.jsonl"
+    out_json(capsys, *argv, str(full))
+    assert strip_timestamps(killed) == strip_timestamps(full)
+
+
 def test_search_resume_rejects_a_malformed_inner_line(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     out_json(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(out))
@@ -341,6 +371,33 @@ def test_search_random_mode_is_seeded(tmp_path, capsys):
     assert strip_timestamps(a) == strip_timestamps(b)
     for line in a.read_text().splitlines():
         assert len(json.loads(line)["s"]) == 4
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 300])
+def test_search_record_is_the_same_with_shared_levels(budget):
+    seqs = [s for d in range(1, 5) for s in product(range(1, 5), repeat=d)]
+    random.Random(2).shuffle(seqs)
+    levels = {}
+    refused = 0
+    for s in seqs:
+        plain = search_record(s, budget=budget)
+        shared = search_record(s, budget=budget, _levels=levels)
+        plain.pop("timestamp")
+        shared.pop("timestamp")
+        assert shared == plain, s
+        refused += "IDP transfer" in plain.get("detail", "")
+    assert len(levels) > 1
+    assert refused > 10 if budget == 300 else refused == 0
+
+
+def test_search_keeps_no_levels_between_runs(tmp_path, capsys, masks_calls):
+    # a cache that outlived one run would save the second run's _masks calls
+    counts = []
+    for name in ("a.jsonl", "b.jsonl"):
+        masks_calls.clear()
+        out_json(capsys, "search", "--dmax", "4", "--smax", "3", "--out", str(tmp_path / name))
+        counts.append(len(masks_calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_search_record_fields():

@@ -362,6 +362,106 @@ def test_level_pass_matches_the_memoized_transfer_under_random_restrictions(monk
     assert failures > 100  # most draws plant a failure somewhere
 
 
+def shuffled_small(seed):
+    seqs = list(small_sequences(4, 4))
+    random.Random(seed).shuffle(seqs)
+    return seqs
+
+
+def assert_shared_levels_change_nothing(calls, seed):
+    """Every s with d <= 4 and s_i <= 4 at k = 2, 3, in a shuffled order, with and without one memo.
+
+    Returns how many (s, k) have a witness.  `calls` gains an entry per
+    `_masks` call; the memo must save some, or the comparison would not
+    reach a shared level.
+    """
+    memo = {}
+    witnesses = saved = 0
+    for s in shuffled_small(seed):
+        for k in (2, 3):
+            before = len(calls)
+            plain = least_undecomposable(s, k, spent=5)
+            middle = len(calls)
+            assert least_undecomposable(s, k, spent=5, _levels=memo) == plain, (s, k)
+            saved += 2 * middle - before - len(calls)
+            witnesses += plain[0] is not None
+    assert saved > 0
+    return witnesses
+
+
+def test_shared_levels_change_no_witness_or_charge(masks_calls):
+    assert assert_shared_levels_change_nothing(masks_calls, seed=3) == 0
+
+
+def test_shared_levels_name_the_same_planted_witness(ground_below_top, masks_calls):
+    # the witness pass reads the stored levels' states and windows
+    assert assert_shared_levels_change_nothing(masks_calls, seed=4) == 2 * 340
+
+
+def test_shared_levels_under_random_restrictions(monkeypatch, masks_calls):
+    # the narrowed span is drawn once per (s_i, k, z_i), so it is a function of what the memo's
+    # keys fix, as the real span is
+    rng = random.Random(21)
+    span = idp._span
+    narrowed = {}
+
+    def restricted(seq, k, i, z):
+        if (seq[i], k, z) not in narrowed:
+            narrowed[seq[i], k, z] = narrow(span(seq, k, i, z), rng)
+        return narrowed[seq[i], k, z]
+
+    monkeypatch.setattr(idp, "_span", restricted)
+    assert assert_shared_levels_change_nothing(masks_calls, seed=5) > 100
+
+
+def test_shared_levels_refuse_at_the_same_partial_total():
+    # a stored level that would pass the budget is refused where a built one is
+    memo = {}
+    rng = random.Random(8)
+    for s in shuffled_small(6):
+        for k in (2, 3):
+            _, spent = least_undecomposable(s, k, spent=5, _levels=memo)
+            for budget in {spent - 1, rng.randrange(5, spent)}:
+                with pytest.raises(BudgetExceededError) as plain:
+                    least_undecomposable(s, k, budget=budget, spent=5)
+                with pytest.raises(BudgetExceededError) as shared:
+                    least_undecomposable(s, k, budget=budget, spent=5, _levels=dict(memo))
+                assert str(shared.value) == str(plain.value), (s, k, budget)
+
+
+@pytest.mark.parametrize("s, tests", [((2, 3), 34), ((2, 2, 2, 2), 261)], ids=["d2", "d4"])
+def test_shared_levels_keep_the_budget_boundary(s, tests):
+    memo = {}
+    for other in shuffled_small(7):
+        is_idp(other, _levels=memo)
+    assert ((2, 2, 2), 3) in memo
+    with pytest.raises(BudgetExceededError) as plain:
+        is_idp(s, budget=tests - 1)
+    with pytest.raises(BudgetExceededError) as shared:
+        is_idp(s, budget=tests - 1, _levels=dict(memo))
+    assert str(shared.value) == str(plain.value)
+    assert is_idp(s, budget=tests, _levels=dict(memo)).ok
+
+
+def test_shared_levels_hold_at_most_the_budget():
+    # a level weighs its tests and a window list its candidates; the memo is emptied, not grown
+    memo = {}
+    emptied = 0
+    for s in shuffled_small(9):
+        held = memo.get("held", 0)
+        try:
+            least_undecomposable(s, 3, budget=500, _levels=memo)
+        except BudgetExceededError:
+            pass
+        weights = [
+            sum(map(len, entry)) if isinstance(entry, list) else entry[1]
+            for key, entry in memo.items() if key != "held"
+        ]
+        assert memo.get("held", 0) == sum(weights) <= 500
+        emptied += memo.get("held", 0) < held
+    assert emptied > 10
+
+
 def peak_bytes(work):
     """The peak of the memory Python allocates while work() runs."""
     tracemalloc.start()
@@ -390,7 +490,9 @@ def test_transfer_keeps_no_root_masks():
 
 def test_is_idp_reports_the_least_witness_of_the_first_failing_k(monkeypatch):
     witnesses = {2: None, 3: (1, 6)}
-    monkeypatch.setattr(idp, "least_undecomposable", lambda s, k, budget, spent: (witnesses.get(k, (0, 0)), spent))
+    monkeypatch.setattr(
+        idp, "least_undecomposable", lambda s, k, budget, spent, _levels=None: (witnesses.get(k, (0, 0)), spent)
+    )
     with raises_witness((2, 3), 3, (1, 6)):
         is_idp((2, 3), k_max=4)
 
