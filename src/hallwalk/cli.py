@@ -12,6 +12,7 @@ import os
 import random
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -151,6 +152,13 @@ def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
             f"--random {count} asks for more distinct sequences than the {smax}^{dmax} available"
         )
     rng = random.Random(seed)
+    if count == smax**dmax:
+        # the whole range, so the seed only sets the order: one shuffle, no rejected draws
+        everything = list(product(range(1, smax + 1), repeat=dmax))
+        rng.shuffle(everything)
+        yield from everything
+        return
+    # smaller subsets keep these draws, so seeded runs and resumed stores do not change
     seen = set()
     while len(seen) < count:
         s = tuple(rng.randint(1, smax) for _ in range(dmax))
@@ -229,7 +237,9 @@ def _cmd_search(args) -> int:
     return EXIT_INCONSISTENT if witnesses else EXIT_OK
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built by the first `main` of a process; it holds only static configuration."""
     parser = _Parser(prog="hallwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

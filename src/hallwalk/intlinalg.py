@@ -4,11 +4,13 @@ Everything here works on plain sequences of Python ints (arbitrary
 precision); there is no floating point anywhere.
 """
 
+from operator import sub
+
 from .errors import DimensionError
 
 
 def _as_square(matrix):
-    rows = [list(row) for row in matrix]
+    rows = list(map(list, matrix))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError(f"expected a square matrix, got rows of lengths {[len(r) for r in rows]}")
@@ -44,7 +46,7 @@ def determinant(matrix) -> int:
 def edge_matrix(vertices):
     """Rows v_1 - v_0, ..., v_d - v_0 for a list of d+1 points."""
     base = vertices[0]
-    return [[x - b for x, b in zip(v, base)] for v in vertices[1:]]
+    return [list(map(sub, v, base)) for v in vertices[1:]]
 
 
 def simplex_is_unimodular(vertices) -> bool:

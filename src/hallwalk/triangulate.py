@@ -31,6 +31,7 @@ lying in a facet of P.
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
 from math import lcm, prod
 
 from .errors import UnsupportedSequenceError
@@ -65,7 +66,8 @@ def chimney_triangulation(s) -> Triangulation:
         return Triangulation(seq, tuple(_build(seq)))
     rev = reverse(seq)
     if _has_integer_ratios(rev):
-        mapped = [tuple(reflect(rev, v) for v in simplex) for simplex in _build(rev)]
+        mirror = cache(lambda v: reflect(rev, v))  # cells share their vertices
+        mapped = [tuple(map(mirror, simplex)) for simplex in _build(rev)]
         return Triangulation(seq, tuple(mapped))
     raise UnsupportedSequenceError(
         f"s={seq}: consecutive ratios are not integral in either direction"
@@ -143,12 +145,19 @@ class VerificationReport:
 
 
 def _in_facet(seq, wall: Wall) -> bool:
-    """Do all points of the wall lie on one facet of P^(s)?"""
-    d = len(seq)
-    if all(v[0] == 0 for v in wall) or all(v[-1] == seq[-1] for v in wall):
+    """Do all points of the wall lie on one facet of P^(s)?
+
+    Only a row that is tight at the wall's first vertex can hold the rest.
+    """
+    first, rest = wall[0], wall[1:]
+    if first[0] == 0 and all(v[0] == 0 for v in rest):
+        return True
+    if first[-1] == seq[-1] and all(v[-1] == seq[-1] for v in rest):
         return True
     return any(
-        all(seq[i + 1] * v[i] == seq[i] * v[i + 1] for v in wall) for i in range(d - 1)
+        all(seq[i + 1] * v[i] == seq[i] * v[i + 1] for v in rest)
+        for i in range(len(seq) - 1)
+        if seq[i + 1] * first[i] == seq[i] * first[i + 1]
     )
 
 
@@ -176,6 +185,10 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     # apex - wall_0) for the sorted wall, read off the sorted cell's sign
     sides: dict[Wall, list[int]] = {}
     inside = cache(lambda v: contains(seq, v))  # cells share their vertices
+    # combinations(cell, d) drops vertex d first and vertex 0 last; the walls
+    # are taken in reverse, dropping vertex k as the k-th, which keeps the
+    # reports' order.  Moving vertex k to the end takes d - k transpositions.
+    signs = [(-1) ** (d - k) for k in range(d + 1)]
     for idx, simplex in enumerate(triangulation.simplices):
         cell = sorted(simplex)
         if len(cell) != d + 1 or any(len(v) != d for v in cell):
@@ -187,10 +200,8 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
             continue
         if not all(inside(v) for v in cell):
             report.outside.append(idx)
-        for k in range(d + 1):
-            # moving the dropped vertex k to the end takes d - k transpositions
-            side = det if (d - k) % 2 == 0 else -det
-            sides.setdefault(tuple(cell[:k] + cell[k + 1 :]), []).append(side)
+        for wall, sign in zip(list(combinations(cell, d))[::-1], signs):
+            sides.setdefault(wall, []).append(sign * det)
     for wall, held in sides.items():
         if len(held) > 2:
             report.overfull_walls.append(wall)

@@ -130,6 +130,21 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # a parser that kept anything from a call would leak --idp-max-k 5 into the plain
+    # `idp 2`, or the usage error's state into the calls after it
+    import hallwalk.cli as cli
+
+    calls = [("idp", "2", "--idp-max-k", "five"), ("idp", "2", "--idp-max-k", "5"), ("idp", "2")]
+    assert cli._build_parser() is cli._build_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert [json.loads(out)["k_checked"] for _, out, _ in shared[1:]] == [5, 2]
+
+
 def test_inconsistency_exit_code(capsys, monkeypatch):
     # no real counterexample exists at desk scale; force the error path
     import hallwalk.cli as cli
@@ -371,6 +386,37 @@ def test_search_random_mode_is_seeded(tmp_path, capsys):
     assert strip_timestamps(a) == strip_timestamps(b)
     for line in a.read_text().splitlines():
         assert len(json.loads(line)["s"]) == 4
+
+
+def rejection_sampled(dmax, smax, count, seed):
+    """The draws `search --random` makes below the size of the range: the oracle for its order."""
+    rng = random.Random(seed)
+    seen = []
+    while len(seen) < count:
+        s = tuple(rng.randint(1, smax) for _ in range(dmax))
+        if s not in seen:
+            seen.append(s)
+    return seen
+
+
+def test_search_random_subset_keeps_its_draws():
+    from hallwalk.cli import _sweep_sequences
+
+    assert list(_sweep_sequences(4, 6, 50, 7)) == rejection_sampled(4, 6, 50, 7)
+    assert list(_sweep_sequences(2, 4, 15, 3)) == rejection_sampled(2, 4, 15, 3)
+    whole = list(_sweep_sequences(2, 4, 16, 3))
+    assert sorted(whole) == list(product(range(1, 5), repeat=2))
+
+
+def test_search_random_full_range_stores_the_top_dimension(tmp_path, capsys):
+    everything = tmp_path / "all.jsonl"
+    shuffled = tmp_path / "random.jsonl"
+    out_json(capsys, "search", "--dmax", "3", "--smax", "3", "--out", str(everything))
+    payload = out_json(capsys, "search", "--random", "27", "--dmax", "3", "--smax", "3",
+                       "--seed", "5", "--out", str(shuffled))
+    assert payload["records"] == 27
+    top = [line for line in strip_timestamps(everything).splitlines() if len(json.loads(line)["s"]) == 3]
+    assert strip_timestamps(shuffled) == "\n".join(top)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 300])

@@ -35,6 +35,15 @@ def test_determinant_rejects_non_square():
         determinant([[1, 2, 3], [4, 5, 6]])
 
 
+def test_determinant_leaves_its_input_alone():
+    # the elimination swaps and overwrites rows of its own copy only
+    matrix = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    before = [row[:] for row in matrix]
+    assert determinant(matrix) == -3
+    assert matrix == before
+    assert determinant(tuple(map(tuple, matrix))) == -3
+
+
 def test_determinant_multiplicative_on_random_matrices():
     rng = random.Random(7)
     for _ in range(60):

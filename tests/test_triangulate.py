@@ -1,11 +1,69 @@
+from collections import Counter
+from functools import cache
 from math import prod
 
 import pytest
 
+from hallwalk import triangulate
 from hallwalk.errors import UnsupportedSequenceError
-from hallwalk.intlinalg import simplex_is_unimodular
-from hallwalk.polytope import contains
-from hallwalk.triangulate import Triangulation, chimney_triangulation, verify_triangulation
+from hallwalk.intlinalg import determinant, edge_matrix, simplex_is_unimodular
+from hallwalk.polytope import check_s, contains, reflect, reverse
+from hallwalk.triangulate import (
+    Triangulation,
+    VerificationReport,
+    chimney_triangulation,
+    verify_triangulation,
+)
+from test_acceptance import ratio_sequences
+
+
+def reflected_per_occurrence(s, cells):
+    """The reversed sequence's cells mapped one vertex occurrence at a time: the oracle for the cache."""
+    rev = reverse(s)
+    return tuple(tuple(reflect(rev, v) for v in simplex) for simplex in cells)
+
+
+def _in_facet_all_rows(seq, wall):
+    d = len(seq)
+    if all(v[0] == 0 for v in wall) or all(v[-1] == seq[-1] for v in wall):
+        return True
+    return any(
+        all(seq[i + 1] * v[i] == seq[i] * v[i + 1] for v in wall) for i in range(d - 1)
+    )
+
+
+def verified_by_slices(s, triangulation):
+    """The verifier with walls cut by list slices and every facet row tested: the oracle for its reports."""
+    seq = check_s(s)
+    d = len(seq)
+    report = VerificationReport(
+        s=seq, simplex_count=len(triangulation.simplices), expected_count=prod(seq)
+    )
+    sides = {}
+    inside = cache(lambda v: contains(seq, v))
+    for idx, simplex in enumerate(triangulation.simplices):
+        cell = sorted(simplex)
+        if len(cell) != d + 1 or any(len(v) != d for v in cell):
+            report.non_unimodular.append(idx)
+            continue
+        det = determinant(edge_matrix(cell))
+        if abs(det) != 1:
+            report.non_unimodular.append(idx)
+            continue
+        if not all(inside(v) for v in cell):
+            report.outside.append(idx)
+        for k in range(d + 1):
+            side = det if (d - k) % 2 == 0 else -det
+            sides.setdefault(tuple(cell[:k] + cell[k + 1 :]), []).append(side)
+    for wall, held in sides.items():
+        if len(held) > 2:
+            report.overfull_walls.append(wall)
+        elif len(held) == 2:
+            if held[0] == held[1]:
+                report.same_side_walls.append(wall)
+        elif not _in_facet_all_rows(seq, wall):
+            report.unmatched_walls.append(wall)
+    return report
 
 
 def test_base_case_segments():
@@ -168,3 +226,57 @@ def test_report_json_lists_walls_as_points():
         "ok", "simplex_count", "expected_count", "non_unimodular", "outside",
         "unmatched_walls", "overfull_walls", "same_side_walls",
     }
+
+
+def test_reflection_cache_matches_the_per_occurrence_map(monkeypatch):
+    # every sequence of criterion 7's range read backwards; a constant one reads the same
+    built = []
+    build = triangulate._build
+    monkeypatch.setattr(triangulate, "_build", lambda seq: built.append(build(seq)) or built[-1])
+    reflected = Counter()
+    monkeypatch.setattr(triangulate, "reflect", lambda rev, v: reflected.update([v]) or reflect(rev, v))
+    checked = 0
+    for forward in ratio_sequences(4, 512):
+        s = forward[::-1]
+        if s == forward:
+            continue
+        reflected.clear()
+        tri = chimney_triangulation(s)
+        (cells,) = built
+        built.clear()
+        assert tri.simplices == reflected_per_occurrence(s, cells), s
+        # once per distinct vertex, and every vertex of the cells is one
+        assert set(reflected.values()) == {1}, s
+        assert len(reflected) == len({v for cell in cells for v in cell}), s
+        checked += 1
+    assert checked == 2746
+
+
+def planted(cells):
+    """Broken copies of a triangulation: one or two cells moved up a step, a cell twice, a cell dropped."""
+    def moved(cell):
+        return tuple(v[:-1] + (v[-1] + 1,) for v in cell)
+
+    middle = len(cells) // 2
+    return {
+        "one cell": cells[:middle] + (moved(cells[middle]),) + cells[middle + 1 :],
+        "two cells": (moved(cells[0]),) + cells[1:-1] + (moved(cells[-1]),),
+        "duplicated cell": cells[:middle] + (cells[middle - 1],) + cells[middle + 1 :],
+        "dropped cell": cells[:middle] + cells[middle + 1 :],
+    }
+
+
+def test_reports_match_the_slice_verifier():
+    valid = [s for forward in ratio_sequences(5, 48) for s in dict.fromkeys((forward, forward[::-1]))]
+    for s in valid:
+        tri = chimney_triangulation(s)
+        assert verify_triangulation(s, tri).to_json() == verified_by_slices(s, tri).to_json(), s
+    broken = 0
+    for s in [(3, 3), (2, 4, 8), (8, 4, 2), (1, 2, 2, 4, 8), (9, 3, 3, 1)]:
+        for kind, cells in planted(chimney_triangulation(s).simplices).items():
+            tri = Triangulation(s, cells)
+            report = verify_triangulation(s, tri).to_json()
+            assert not report["ok"], (s, kind)
+            assert report == verified_by_slices(s, tri).to_json(), (s, kind)
+            broken += 1
+    assert broken == 20
