@@ -85,7 +85,8 @@ def _cmd_idp(args) -> int:
 def _cmd_decompose(args) -> int:
     s = parse_s(args.s)
     point = tuple(int(v) for v in args.x.split(","))
-    check_budget(args.k * len(s), _budget(), f"writing a point of {args.k}*P^{s} as {args.k} parts")
+    # a part costs about as much time as 6 of its coordinates (README, cost table)
+    check_budget(args.k * (len(s) + 6), _budget(), f"writing a point of {args.k}*P^{s} as {args.k} parts")
     result = decompose(s, args.k, point)
     _emit(
         {

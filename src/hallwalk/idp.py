@@ -26,7 +26,7 @@ its sequences (`_levels`); each is still charged as if it were built.
 from dataclasses import dataclass
 
 from .errors import MathematicalInconsistencyError, PreconditionError
-from .polytope import check_budget, check_s, contains, count
+from .polytope import _chain, check_budget, check_s, contains, count
 
 
 def _lattice_point(seq, k: int, x) -> tuple[int, ...]:
@@ -53,7 +53,7 @@ def greedy_peel(s, k: int, x) -> tuple[int, ...]:
     point = _lattice_point(seq, k, x)
     y = _layer(seq, point, k)
     rest = tuple(a - b for a, b in zip(point, y))
-    if not contains(seq, y) or not contains(seq, rest, t=k - 1):
+    if not (_chain(seq, y)[0] and _chain(seq, rest, k - 1)[0]):
         raise MathematicalInconsistencyError(
             f"peel of {point} from {k}*P^{seq} produced {y} + {rest}"
         )
@@ -78,7 +78,7 @@ def decompose(s, k: int, x) -> Decomposition:
         raise PreconditionError(f"k must be >= 1, got {k}")
     point = _lattice_point(seq, k, x)
     parts = tuple(_layer(seq, point, level) for level in range(k, 0, -1))
-    if tuple(map(sum, zip(*parts))) != point or not all(contains(seq, p) for p in parts):
+    if tuple(map(sum, zip(*parts))) != point or not all(_chain(seq, p)[0] for p in parts):
         raise MathematicalInconsistencyError(
             f"decomposition of {point} in {k}*P^{seq} failed: parts {parts}"
         )
@@ -87,16 +87,11 @@ def decompose(s, k: int, x) -> Decomposition:
 
 @dataclass(frozen=True)
 class IdpResult:
-    ok: bool
     k_checked: int
-    witness: tuple[int, ...] | None
+    ok = True  # not a field: `is_idp` raises instead of returning a failure
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.ok,
-            "k_checked": self.k_checked,
-            "witness": None if self.witness is None else list(self.witness),
-        }
+        return {"verdict": self.ok, "k_checked": self.k_checked, "witness": None}
 
 
 def first_undecomposable(targets, lower, ground) -> tuple[int, ...] | None:
@@ -121,17 +116,22 @@ def _roots(seq, k: int):
         yield z, (1 << span.stop) - (1 << span.start) if span else 0
 
 
+_WORD = 30  # mask bits per charged step: CPython's digit, fixed so that refusals do not depend on the build
+
+
 def _tests(seq, k: int, i: int, z_ups, budget, spent: int, what: str) -> int:
     """spent plus the tests of level i: a state at z_{i+1} tests every y_i in the spans of z_i = 0..top.
 
     `z_ups` gives z_{i+1} once per state, in ascending order.  The span
     lengths are summed in step with top, with no table, and a partial total
-    over the budget is refused at once.
+    over the budget is refused at once.  A test works on masks of y_{i+1},
+    of up to s_{i+1} + 1 bits, so it is charged 1 + s_{i+1} // _WORD steps.
     """
-    tests = z = 0  # tests: the span lengths summed over z_i < z
+    width = 1 + seq[i + 1] // _WORD
+    tests = z = 0  # tests: the span lengths summed over z_i < z, times width
     for z_up in z_ups:
         while z <= seq[i] * z_up // seq[i + 1]:
-            tests += len(_span(seq, k, i, z))
+            tests += len(_span(seq, k, i, z)) * width
             z += 1
             check_budget(spent + tests, budget, what)
         spent += tests
@@ -185,10 +185,10 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     each coordinate's distinct states and solves each once with `_masks`.
     A state at z_{i+1} tests every candidate y_i over z_i = 0..top, and a
     level's tests join the running total `spent`, charged to `budget`,
-    before the level builds anything (with d = 1, one test per target).  A
-    state of the first coordinate with an empty mask is a target with no
-    split; only then does a pass back up name the least one.  Returns
-    (z or None, spent).
+    before the level builds anything (with d = 1, one test per target).
+    Each test is charged by the width of its masks (`_tests`).  A state of
+    the first coordinate with an empty mask is a target with no split; only
+    then does a pass back up name the least one.  Returns (z or None, spent).
 
     `_levels`, a dict the caller creates empty, shares levels between calls:
     level i >= 1 depends only on (s_i, ..., s_d) and k, and its windows only
@@ -203,7 +203,7 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     d = len(seq)
     what = f"the IDP transfer of P^{seq} up to {k}*P"
     if d == 1:
-        spent += k * seq[0] + 1
+        spent += (k * seq[0] + 1) * (1 + seq[0] // _WORD)
         check_budget(spent, budget, what)
     # i is 0-based.  states[i]: the distinct (z_i, mask of y_i) that level i hands down, for
     # i < d - 1; the last coordinate alone fixes a root, so roots are produced again, not kept
@@ -289,4 +289,4 @@ def is_idp(s, k_max=None, budget=None, _levels=None) -> IdpResult:
                 f"the layer split proves {k}*P^{seq} = {k - 1}*P + P, but the "
                 f"transfer finds no split of {witness}"
             )
-    return IdpResult(True, top, None)
+    return IdpResult(top)

@@ -6,10 +6,13 @@ The polytope of a positive integer sequence s = (s_1, ..., s_d) is
 
 Points are stored in ascending index order (x_1, ..., x_d) everywhere;
 vertex matrices displayed elsewhere with x_d on top are re-indexed at the
-boundary.  All arithmetic is exact.
+boundary.  All arithmetic is exact.  `contains` and `reflect` check s, then
+call `_chain` (the one evaluator of the facet rows) and `_reflect`, which
+callers with many points of one checked s call directly.
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DimensionError
@@ -29,10 +32,10 @@ class HalfSpace(NamedTuple):
 
 def check_s(s) -> tuple[int, ...]:
     """Validate and normalize an s-sequence to a tuple of positive ints."""
-    seq = tuple(int(v) for v in s)
+    seq = tuple(map(int, s))
     if not seq:
         raise ValueError("s-sequence must have length >= 1")
-    if any(v < 1 for v in seq):
+    if min(seq) < 1:
         raise ValueError(f"s-sequence entries must be positive, got {seq}")
     return seq
 
@@ -88,27 +91,29 @@ def hrep(s, t: int = 1) -> list[HalfSpace]:
 
 
 def contains(s, point, t: int = 1, strict: bool = False) -> bool:
-    """Membership of a point (ints or Fractions) in t*P^(s).
-
-    Evaluates the d+1 rows of `hrep` along the chain without building them.
-    """
+    """Membership of a point (ints or Fractions) in t*P^(s), or its interior if strict, by `_chain`."""
     seq = check_s(s)
     if t < 1:
         raise ValueError(f"dilation factor must be >= 1, got {t}")
-    d = len(seq)
-    if len(point) != d:
-        raise DimensionError(f"point has length {len(point)}, expected {d}")
-    if strict:
-        return (
-            point[0] > 0
-            and all(seq[i + 1] * point[i] < seq[i] * point[i + 1] for i in range(d - 1))
-            and point[-1] < t * seq[-1]
-        )
-    return (
-        point[0] >= 0
-        and all(seq[i + 1] * point[i] <= seq[i] * point[i + 1] for i in range(d - 1))
-        and point[-1] <= t * seq[-1]
-    )
+    if len(point) != len(seq):
+        raise DimensionError(f"point has length {len(point)}, expected {len(seq)}")
+    inside, tight = _chain(seq, point, t)
+    return inside and not (strict and tight)
+
+
+def _chain(seq, point, t: int = 1) -> tuple[bool, int]:
+    """(inside, tight) of a point of length d against the rows of hrep(seq, t), for a checked seq.
+
+    The d+1 slacks, in `hrep` order, are x_1, then s_i x_{i+1} - s_{i+1} x_i
+    for each adjacent pair, then t*s_d - x_d.  inside: every slack is >= 0.
+    tight: the bitmask of the rows whose slack is 0, outside points included.
+    """
+    slacks = [point[0], *map(sub, map(mul, seq, point[1:]), map(mul, seq[1:], point)), t * seq[-1] - point[-1]]
+    tight = 0
+    for row, slack in enumerate(slacks):
+        if not slack:
+            tight |= 1 << row
+    return min(slacks) >= 0, tight
 
 
 DEFAULT_BUDGET = 10_000_000
@@ -140,10 +145,10 @@ def count(s, t: int, budget=None) -> int:
     check_budget(cells, budget, f"counting the points of {t}*P^{seq}")
     # counts[v] = number of admissible prefixes (x_1, ..., x_i) with x_i = v
     counts = [1] * (t * seq[0] + 1)
-    for i in range(1, len(seq)):
+    for a, b in zip(seq, seq[1:]):
         prefix = list(accumulate(counts))
-        top = t * seq[i]
-        counts = [prefix[min(w * seq[i - 1] // seq[i], len(prefix) - 1)] for w in range(top + 1)]
+        # counts[w] = prefix[w * a // b] for w = 0..t*b, with the loops in C
+        counts = list(map(prefix.__getitem__, map(floordiv, range(0, t * b * a + 1, a), repeat(b))))
     return sum(counts)
 
 
@@ -189,5 +194,9 @@ def reflect(s, point, t: int = 1) -> tuple:
     seq = check_s(s)
     if len(point) != len(seq):
         raise DimensionError(f"point has length {len(point)}, expected {len(seq)}")
-    d = len(seq)
-    return tuple(t * seq[d - 1 - i] - point[d - 1 - i] for i in range(d))
+    return _reflect(seq, point, t)
+
+
+def _reflect(seq, point, t: int = 1) -> tuple:
+    """The reversal map of `reflect`, for a checked seq and a point of its length."""
+    return tuple(t * v - x for v, x in zip(reversed(seq), reversed(point)))

@@ -26,17 +26,20 @@ reversal equivalence.
 `verify_triangulation` certifies any claimed triangulation exactly, without
 sampling: unimodular cells inside P, as many of them as the normalized
 volume, and every wall either shared by two cells on opposite sides or
-lying in a facet of P.
+lying in a facet of P.  Membership and facet tightness are read off one
+`polytope._chain` per distinct vertex; neither it nor the reversed build's
+`_reflect` checks s again.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import lcm, prod
+from operator import and_
 
 from .errors import UnsupportedSequenceError
 from .intlinalg import determinant, edge_matrix
-from .polytope import check_s, contains, reflect, reverse
+from .polytope import _chain, _reflect, check_s, reverse
 
 Point = tuple[int, ...]
 Simplex = tuple[Point, ...]
@@ -66,7 +69,7 @@ def chimney_triangulation(s) -> Triangulation:
         return Triangulation(seq, tuple(_build(seq)))
     rev = reverse(seq)
     if _has_integer_ratios(rev):
-        mirror = cache(lambda v: reflect(rev, v))  # cells share their vertices
+        mirror = cache(lambda v: _reflect(rev, v))  # cells share their vertices
         mapped = [tuple(map(mirror, simplex)) for simplex in _build(rev)]
         return Triangulation(seq, tuple(mapped))
     raise UnsupportedSequenceError(
@@ -144,23 +147,6 @@ class VerificationReport:
         }
 
 
-def _in_facet(seq, wall: Wall) -> bool:
-    """Do all points of the wall lie on one facet of P^(s)?
-
-    Only a row that is tight at the wall's first vertex can hold the rest.
-    """
-    first, rest = wall[0], wall[1:]
-    if first[0] == 0 and all(v[0] == 0 for v in rest):
-        return True
-    if first[-1] == seq[-1] and all(v[-1] == seq[-1] for v in rest):
-        return True
-    return any(
-        all(seq[i + 1] * v[i] == seq[i] * v[i + 1] for v in rest)
-        for i in range(len(seq) - 1)
-        if seq[i + 1] * first[i] == seq[i] * first[i + 1]
-    )
-
-
 def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     """Exact certificate that the simplices triangulate P^(s).
 
@@ -172,7 +158,8 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     P with constant multiplicity, and equal volume makes it one, so this
     proves a triangulation (De Loera, Rambau and Santos, Triangulations,
     2010, ch. 4).  Since P is convex, vertices inside P put the whole
-    simplex inside.
+    simplex inside.  `_chain` runs once per distinct vertex: a one-cell wall
+    lies in a facet iff the AND of its vertices' masks of tight rows is nonzero.
     """
     seq = check_s(s)
     d = len(seq)
@@ -184,7 +171,7 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     # wall -> apex sides; the side is the sign of det(wall_1 - wall_0, ...,
     # apex - wall_0) for the sorted wall, read off the sorted cell's sign
     sides: dict[Wall, list[int]] = {}
-    inside = cache(lambda v: contains(seq, v))  # cells share their vertices
+    chain = cache(lambda v: _chain(seq, v))  # (inside, tight rows); cells share their vertices
     # combinations(cell, d) drops vertex d first and vertex 0 last; the walls
     # are taken in reverse, dropping vertex k as the k-th, which keeps the
     # reports' order.  Moving vertex k to the end takes d - k transpositions.
@@ -198,7 +185,7 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
         if abs(det) != 1:
             report.non_unimodular.append(idx)
             continue
-        if not all(inside(v) for v in cell):
+        if not all(chain(v)[0] for v in cell):
             report.outside.append(idx)
         for wall, sign in zip(list(combinations(cell, d))[::-1], signs):
             sides.setdefault(wall, []).append(sign * det)
@@ -208,6 +195,6 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
         elif len(held) == 2:
             if held[0] == held[1]:
                 report.same_side_walls.append(wall)
-        elif not _in_facet(seq, wall):
+        elif not reduce(and_, (chain(v)[1] for v in wall)):
             report.unmatched_walls.append(wall)
     return report

@@ -63,6 +63,14 @@ def test_idp_command_non_monotone(capsys):
     assert payload["k_checked"] == 3
 
 
+def test_idp_verdicts_keep_their_bytes(capsys):
+    assert run(capsys, "idp", "2,3")[1] == '{"k_checked": 2, "s": [2, 3], "verdict": true, "witness": null}\n'
+    assert run(capsys, "compose", "--left", "2,3", "--right", "2", "--mode", "idp")[1] == (
+        '{"composite": [2, 3, 1, 2], "k_checked": 3, "left": [2, 3], "mode": "idp", "ok": true, '
+        '"right": [2], "verdict": true, "witness": null}\n'
+    )
+
+
 def test_decompose_command(capsys):
     payload = out_json(capsys, "decompose", "1,2", "2", "1,3")
     assert payload["parts"] == [[0, 1], [1, 2]]
@@ -70,16 +78,25 @@ def test_decompose_command(capsys):
     assert payload["parts"] == [[0, 0, 1], [1, 1, 2]]
 
 
-def test_decompose_budget_is_the_coordinate_count(capsys, monkeypatch):
-    # 3 parts of 2 coordinates; time and memory grow linearly in k
-    monkeypatch.setenv("HALLWALK_BUDGET", "6")
+def test_decompose_budget_charges_each_part(capsys, monkeypatch):
+    # 3 parts of 2 coordinates, each part charged 6 steps more; time and memory grow linearly in k
+    monkeypatch.setenv("HALLWALK_BUDGET", "24")
     assert out_json(capsys, "decompose", "1,2", "3", "1,3")["parts"] == [[0, 0], [0, 1], [1, 2]]
-    monkeypatch.setenv("HALLWALK_BUDGET", "5")
+    monkeypatch.setenv("HALLWALK_BUDGET", "23")
     code, _, err = run(capsys, "decompose", "1,2", "3", "1,3")
     assert code == 3
     assert json.loads(err)["error"] == "budget-exceeded"
     monkeypatch.delenv("HALLWALK_BUDGET")
     code, _, err = run_within(capsys, 1.0, "decompose", "1,2", "10000000", "0,0")
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
+
+
+def test_decompose_refuses_a_budget_of_coordinates_quickly(capsys, monkeypatch):
+    # 4,999,999 parts of 2 coordinates fit a budget of 10^7 coordinates, but at
+    # about 7 us a part (1,000,000 parts took 7 s) that is over half a minute
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 1.0, "decompose", "1,2", "4999999", "0,0")
     assert code == 3
     assert json.loads(err)["error"] == "budget-exceeded"
 
@@ -212,6 +229,16 @@ def test_idp_refuses_over_budget_before_it_allocates(capsys, monkeypatch):
     # a table of the 2,000,001 span lengths alone would take seconds to build
     monkeypatch.setenv("HALLWALK_BUDGET", "5000000")
     code, _, err = run_within(capsys, 1.0, "idp", "1000000,1")
+    assert code == 3
+    assert json.loads(err)["message"].startswith("the IDP transfer")
+
+
+@pytest.mark.parametrize("s", ["1000000", "1,1000000"])
+def test_idp_transfer_charges_the_width_of_its_masks(capsys, monkeypatch, s):
+    # a test works on masks of up to 10^6 + 1 bits; charged one step each, the
+    # 2,000,001 (d = 1) or 4,000,004 (d = 2) tests fit the default budget and run for minutes
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 1.0, "idp", s)
     assert code == 3
     assert json.loads(err)["message"].startswith("the IDP transfer")
 

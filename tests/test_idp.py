@@ -340,6 +340,13 @@ def test_level_pass_charges_as_the_memoized_transfer():
                 least_undecomposable(s, k, budget=spent - 1, spent=5)
 
 
+@pytest.mark.parametrize("s, width", [((60,), 3), ((2, 60), 3), ((2, 30), 2), ((90, 29), 1)])
+def test_transfer_charges_each_test_by_the_width_of_its_masks(s, width):
+    # with d = 2 each test is charged 1 + s_2 // 30 steps, and with d = 1 each target 1 + s_1 // 30
+    witness, tests = memoized_least(s, 2)
+    assert least_undecomposable(s, 2) == (witness, width * tests)
+
+
 def test_level_pass_matches_the_memoized_transfer_on_planted_failures(ground_below_top):
     for s in small_sequences(4, 4):
         for k in (2, 3):

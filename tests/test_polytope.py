@@ -6,6 +6,7 @@ import pytest
 from hallwalk.errors import BudgetExceededError, DimensionError
 from hallwalk.polytope import (
     HalfSpace,
+    _chain,
     check_s,
     contains,
     dilate,
@@ -78,6 +79,20 @@ def test_contains_examples():
     assert contains((2, 3), (1, 2), strict=True)
     assert not contains((2, 3), (2, 3), strict=True)  # vertex is on the boundary
     assert contains((2, 3), (2, 3))
+
+
+def test_chain_matches_the_slacks_of_hrep():
+    # every integer point of the box [-1, t*s_i + 1]^d, so points outside too
+    for s in all_sequences(3, 4):
+        for t in (1, 2):
+            rows = hrep(s, t)
+            for p in product(*(range(-1, t * v + 2) for v in s)):
+                slacks = [row.slack(p) for row in rows]
+                inside, tight = _chain(s, p, t)
+                assert inside == all(x >= 0 for x in slacks), (s, t, p)
+                assert [tight >> r & 1 for r in range(len(rows) + 1)] == [x == 0 for x in slacks] + [0], (s, t, p)
+                assert contains(s, p, t=t) == inside, (s, t, p)
+                assert contains(s, p, t=t, strict=True) == all(x > 0 for x in slacks), (s, t, p)
 
 
 def test_contains_rational_points():

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from hallwalk import triangulate
+from hallwalk import polytope, triangulate
 from hallwalk.errors import UnsupportedSequenceError
 from hallwalk.intlinalg import determinant, edge_matrix, simplex_is_unimodular
 from hallwalk.polytope import check_s, contains, reflect, reverse
@@ -234,7 +234,7 @@ def test_reflection_cache_matches_the_per_occurrence_map(monkeypatch):
     build = triangulate._build
     monkeypatch.setattr(triangulate, "_build", lambda seq: built.append(build(seq)) or built[-1])
     reflected = Counter()
-    monkeypatch.setattr(triangulate, "reflect", lambda rev, v: reflected.update([v]) or reflect(rev, v))
+    monkeypatch.setattr(triangulate, "_reflect", lambda rev, v: reflected.update([v]) or reflect(rev, v))
     checked = 0
     for forward in ratio_sequences(4, 512):
         s = forward[::-1]
@@ -250,6 +250,17 @@ def test_reflection_cache_matches_the_per_occurrence_map(monkeypatch):
         assert len(reflected) == len({v for cell in cells for v in cell}), s
         checked += 1
     assert checked == 2746
+
+
+def test_sequence_is_checked_once_per_call_not_per_vertex(monkeypatch):
+    # (8, 4, 2) is built by reflecting the 64 cells of (2, 4, 8), then certified
+    calls = []
+    monkeypatch.setattr(polytope, "check_s", lambda s: calls.append(s) or check_s(s))
+    monkeypatch.setattr(triangulate, "check_s", lambda s: calls.append(s) or check_s(s))
+    tri = chimney_triangulation((8, 4, 2))
+    assert verify_triangulation((8, 4, 2), tri).ok
+    # chimney_triangulation and reverse, then verify_triangulation
+    assert len(calls) <= 3, len(calls)
 
 
 def planted(cells):
