@@ -4,8 +4,9 @@ Library layers: `polytope` (vertices, facets, membership, lattice points,
 point counts, the work budget), `delta` (ascent-statistic delta-vectors),
 `ehrhart` (independent counting oracle), `classify`
 (Fano/reflexive/Gorenstein), `idp` (integer decomposition property),
-`triangulate` (unimodular chimney triangulations), `freesum` (composition
-constructions), `cli` (command line and sweep store).
+`triangulate` (unimodular chimney triangulations), `intlinalg` (exact
+determinants), `freesum` (Gorenstein and IDP compositions), `cli`
+(command line and sweep store).
 """
 
 __version__ = "0.1.0"
@@ -19,7 +20,7 @@ from .classify import (
     sequence_class,
     translated_hrep,
 )
-from .delta import ascent_count, delta_vector, is_symmetric, is_unimodal
+from .delta import delta_vector, is_symmetric
 from .ehrhart import (
     EhrhartData,
     count,
@@ -37,15 +38,9 @@ from .errors import (
     PreconditionError,
     UnsupportedSequenceError,
 )
-from .freesum import (
-    braun_condition,
-    check_decomposition,
-    free_sum,
-    gorenstein_compose,
-    idp_compose,
-)
+from .freesum import gorenstein_compose, idp_compose
 from .idp import Decomposition, IdpResult, decompose, greedy_peel, is_idp
-from .intlinalg import determinant, simplex_is_unimodular
+from .intlinalg import determinant
 from .polytope import (
     DEFAULT_BUDGET,
     HalfSpace,
@@ -77,9 +72,6 @@ __all__ = [
     "SequenceClass",
     "Triangulation",
     "UnsupportedSequenceError",
-    "ascent_count",
-    "braun_condition",
-    "check_decomposition",
     "check_s",
     "chimney_triangulation",
     "classify",
@@ -93,7 +85,6 @@ __all__ = [
     "dual_is_lattice",
     "ehrhart_data",
     "ehrhart_polynomial",
-    "free_sum",
     "gorenstein_compose",
     "gorenstein_index",
     "greedy_peel",
@@ -101,12 +92,10 @@ __all__ = [
     "idp_compose",
     "is_idp",
     "is_symmetric",
-    "is_unimodal",
     "lattice_points",
     "parse_s",
     "reverse",
     "sequence_class",
-    "simplex_is_unimodular",
     "translated_hrep",
     "verify_triangulation",
     "vertices",

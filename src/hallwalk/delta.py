@@ -13,28 +13,6 @@ from math import prod
 from .polytope import check_budget, check_s
 
 
-def inversion_sequences(s):
-    """Iterator over all inversion sequences of s (mixed-radix counter)."""
-    return product(*(range(v) for v in check_s(s)))
-
-
-def ascent_count(e, s) -> int:
-    """Number of ascents of the inversion sequence e against s."""
-    seq = check_s(s)
-    if len(e) != len(seq):
-        raise ValueError(f"inversion sequence has length {len(e)}, expected {len(seq)}")
-    for ei, si in zip(e, seq):
-        if not 0 <= ei < si:
-            raise ValueError(f"entry {ei} out of range [0, {si})")
-    count = 0
-    prev_e, prev_s = 0, 1
-    for ei, si in zip(e, seq):
-        if prev_e * si < ei * prev_s:
-            count += 1
-        prev_e, prev_s = ei, si
-    return count
-
-
 def delta_vector(s, budget=None) -> tuple[int, ...]:
     """(delta_0, ..., delta_d): ascent histogram over all inversion sequences.
 
@@ -69,15 +47,3 @@ def is_symmetric(dv) -> bool:
     """Palindromic after trimming trailing zeros."""
     m = degree(dv)
     return all(dv[i] == dv[m - i] for i in range(m // 2 + 1))
-
-
-def is_unimodal(dv) -> bool:
-    """Weakly rises to a peak, then weakly falls."""
-    rising = True
-    for prev, cur in zip(dv, dv[1:]):
-        if rising:
-            if cur < prev:
-                rising = False
-        elif cur > prev:
-            return False
-    return True

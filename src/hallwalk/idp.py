@@ -123,8 +123,9 @@ def _tests(seq, k: int, i: int, z_ups, budget, spent: int, what: str) -> int:
     """spent plus the tests of level i: a state at z_{i+1} tests every y_i in the spans of z_i = 0..top.
 
     `z_ups` gives z_{i+1} once per state, in ascending order.  The span
-    lengths are summed in step with top, with no table, and a partial total
-    over the budget is refused at once.  A test works on masks of y_{i+1},
+    lengths are summed in step with top, with no table, and the running
+    total is checked at each new z_i and after each state, so a refusal
+    names at most twice the budget.  A test works on masks of y_{i+1},
     of up to s_{i+1} + 1 bits, so it is charged 1 + s_{i+1} // _WORD steps.
     """
     width = 1 + seq[i + 1] // _WORD
@@ -135,7 +136,7 @@ def _tests(seq, k: int, i: int, z_ups, budget, spent: int, what: str) -> int:
             z += 1
             check_budget(spent + tests, budget, what)
         spent += tests
-    check_budget(spent, budget, what)
+        check_budget(spent, budget, what)
     return spent
 
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants and unimodularity.
+"""Exact integer linear algebra: determinants and edge matrices.
 
 Everything here works on plain sequences of Python ints (arbitrary
 precision); there is no floating point anywhere.
@@ -47,13 +47,3 @@ def edge_matrix(vertices):
     """Rows v_1 - v_0, ..., v_d - v_0 for a list of d+1 points."""
     base = vertices[0]
     return [list(map(sub, v, base)) for v in vertices[1:]]
-
-
-def simplex_is_unimodular(vertices) -> bool:
-    """True iff the d+1 points span a simplex of normalized volume 1."""
-    if not vertices:
-        raise DimensionError("empty vertex list")
-    d = len(vertices[0])
-    if len(vertices) != d + 1 or any(len(v) != d for v in vertices):
-        raise DimensionError(f"need exactly {d + 1} points of dimension {d}")
-    return abs(determinant(edge_matrix(vertices))) == 1

@@ -13,12 +13,13 @@ from math import prod
 
 from hallwalk.classify import classify, dual_is_lattice, gorenstein_index, translated_hrep
 from hallwalk.cli import main as cli_main
-from hallwalk.delta import degree, delta_vector, is_symmetric, is_unimodal
+from hallwalk.delta import degree, delta_vector, is_symmetric
 from hallwalk.ehrhart import count, delta_from_counts, dilate_counts
-from hallwalk.freesum import composite_sequence, check_decomposition, gorenstein_compose, idp_compose, poly_mul
+from hallwalk.freesum import composite_sequence, gorenstein_compose, idp_compose, poly_mul
 from hallwalk.idp import greedy_peel, is_idp
 from hallwalk.polytope import contains, dilate, lattice_points, reverse
 from hallwalk.triangulate import chimney_triangulation, verify_triangulation
+from oracles import check_decomposition, is_unimodal
 
 BUDGET = 10_000_000
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -241,6 +242,19 @@ def test_idp_transfer_charges_the_width_of_its_masks(capsys, monkeypatch, s):
     code, _, err = run_within(capsys, 1.0, "idp", s)
     assert code == 3
     assert json.loads(err)["message"].startswith("the IDP transfer")
+
+
+@pytest.mark.parametrize("s", ["1,1000000", "1,10000"])
+def test_idp_transfer_is_refused_near_its_budget(capsys, monkeypatch, s):
+    # each state of z_2 adds its tests to the running total, so the refusal must
+    # come at the first state past the budget, not after the whole level
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 1.0, "idp", s)
+    assert code == 3
+    message = json.loads(err)["message"]
+    refusal = re.fullmatch(r"the IDP transfer .* takes (\d+) steps, over budget (\d+)", message)
+    spent, budget = map(int, refusal.groups())
+    assert budget == DEFAULT_BUDGET < spent < 2 * budget, message
 
 
 def test_gorenstein_index_of_a_cheap_polytope_is_not_refused(capsys, monkeypatch):

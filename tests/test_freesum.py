@@ -5,37 +5,16 @@ import pytest
 from hallwalk.classify import gorenstein_index
 from hallwalk.delta import delta_vector, degree, is_symmetric
 from hallwalk.errors import BudgetExceededError, PreconditionError
-from hallwalk.freesum import (
-    braun_condition,
-    check_decomposition,
-    composite_sequence,
-    free_sum,
-    gorenstein_compose,
-    idp_compose,
-    poly_mul,
-    split_map,
-)
+from hallwalk.freesum import composite_sequence, gorenstein_compose, idp_compose, poly_mul
 from hallwalk.idp import is_idp
 from hallwalk.intlinalg import determinant
 from hallwalk.polytope import contains, count, lattice_points
+from oracles import check_decomposition, split_map
 
 
 def small_sequences(dmax, smax):
     for d in range(1, dmax + 1):
         yield from product(range(1, smax + 1), repeat=d)
-
-
-def test_free_sum_of_segments_is_triangle():
-    assert sorted(free_sum([(0,), (2,)], [(0,), (2,)])) == [(0, 0), (0, 2), (2, 0)]
-
-
-def test_free_sum_with_origin_only():
-    assert sorted(free_sum([(0, 0), (1, 2), (0, 2)], [(0,)])) == [(0, 0, 0), (0, 2, 0), (1, 2, 0)]
-
-
-def test_free_sum_requires_origins():
-    with pytest.raises(PreconditionError):
-        free_sum([(1,), (2,)], [(0,)])
 
 
 def test_split_map_is_a_lattice_bijection():
@@ -66,12 +45,6 @@ def test_check_decomposition_budget_is_the_largest_pairing():
     # P^(2,3,2) has 10 points, but splitting it pairs the 7 points of P^(2,3) with the 3 of P^(2)
     with pytest.raises(BudgetExceededError, match="splitting"):
         check_decomposition((2, 3), (2,), budget=20)
-
-
-def test_braun_condition():
-    assert braun_condition((2, 1))
-    assert not braun_condition((2, 3))
-    assert braun_condition((1,))
 
 
 def test_poly_mul():

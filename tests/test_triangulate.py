@@ -6,7 +6,7 @@ import pytest
 
 from hallwalk import polytope, triangulate
 from hallwalk.errors import UnsupportedSequenceError
-from hallwalk.intlinalg import determinant, edge_matrix, simplex_is_unimodular
+from hallwalk.intlinalg import determinant, edge_matrix
 from hallwalk.polytope import check_s, contains, reflect, reverse
 from hallwalk.triangulate import (
     Triangulation,
@@ -14,6 +14,7 @@ from hallwalk.triangulate import (
     chimney_triangulation,
     verify_triangulation,
 )
+from oracles import simplex_is_unimodular
 from test_acceptance import ratio_sequences
 
 
