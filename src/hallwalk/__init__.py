@@ -1,25 +1,17 @@
 """Exact computations on s-lecture hall polytopes.
 
-Library layers: `polytope` (vertices, facets, membership, lattice points,
-point counts, the work budget), `delta` (ascent-statistic delta-vectors),
-`ehrhart` (independent counting oracle), `classify`
-(Fano/reflexive/Gorenstein), `idp` (integer decomposition property),
-`triangulate` (unimodular chimney triangulations), `intlinalg` (exact
-determinants), `freesum` (Gorenstein and IDP compositions), `cli`
+Library layers: `polytope` (membership and tight facets along the chain,
+lattice points, point counts, the reversal map, the work budget), `delta`
+(ascent-statistic delta-vectors), `ehrhart` (independent counting oracle),
+`classify` (Fano/reflexive/Gorenstein), `idp` (integer decomposition
+property), `triangulate` (unimodular chimney triangulations), `intlinalg`
+(exact determinants), `freesum` (Gorenstein and IDP compositions), `cli`
 (command line and sweep store).
 """
 
 __version__ = "0.1.0"
 
-from .classify import (
-    Classification,
-    SequenceClass,
-    classify,
-    dual_is_lattice,
-    gorenstein_index,
-    sequence_class,
-    translated_hrep,
-)
+from .classify import Classification, SequenceClass, classify, gorenstein_index, sequence_class
 from .delta import delta_vector, is_symmetric
 from .ehrhart import (
     EhrhartData,
@@ -34,25 +26,13 @@ from .errors import (
     HallwalkError,
     InconsistentCountsError,
     MathematicalInconsistencyError,
-    OriginNotInteriorError,
     PreconditionError,
     UnsupportedSequenceError,
 )
 from .freesum import gorenstein_compose, idp_compose
 from .idp import Decomposition, IdpResult, decompose, greedy_peel, is_idp
 from .intlinalg import determinant
-from .polytope import (
-    DEFAULT_BUDGET,
-    HalfSpace,
-    check_s,
-    contains,
-    dilate,
-    hrep,
-    lattice_points,
-    parse_s,
-    reverse,
-    vertices,
-)
+from .polytope import DEFAULT_BUDGET, check_s, contains, lattice_points, parse_s, reverse
 from .triangulate import Triangulation, chimney_triangulation, verify_triangulation
 
 __all__ = [
@@ -62,12 +42,10 @@ __all__ = [
     "Decomposition",
     "DimensionError",
     "EhrhartData",
-    "HalfSpace",
     "HallwalkError",
     "IdpResult",
     "InconsistentCountsError",
     "MathematicalInconsistencyError",
-    "OriginNotInteriorError",
     "PreconditionError",
     "SequenceClass",
     "Triangulation",
@@ -81,14 +59,11 @@ __all__ = [
     "delta_from_counts",
     "delta_vector",
     "determinant",
-    "dilate",
-    "dual_is_lattice",
     "ehrhart_data",
     "ehrhart_polynomial",
     "gorenstein_compose",
     "gorenstein_index",
     "greedy_peel",
-    "hrep",
     "idp_compose",
     "is_idp",
     "is_symmetric",
@@ -96,7 +71,5 @@ __all__ = [
     "parse_s",
     "reverse",
     "sequence_class",
-    "translated_hrep",
     "verify_triangulation",
-    "vertices",
 ]

@@ -27,12 +27,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import delta as deltas
-from .errors import (
-    MathematicalInconsistencyError,
-    OriginNotInteriorError,
-    UnsupportedSequenceError,
-)
-from .polytope import HalfSpace, check_s, hrep, reflect, reverse
+from .errors import MathematicalInconsistencyError, UnsupportedSequenceError
+from .polytope import check_s, reflect, reverse
 
 STRICTLY_INCREASING = "strictly-increasing"
 CONSTANT_THEN_STRICT = "constant-then-strict"
@@ -54,13 +50,6 @@ class SequenceClass:
     tag: str
     reversed: bool
     all_tags: tuple[tuple[str, bool], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "reversed": self.reversed,
-            "all_tags": [[name, rev] for name, rev in self.all_tags],
-        }
 
 
 def _constant_run(seq) -> int:
@@ -313,45 +302,3 @@ def _facet_index(seq) -> int | None:
             return None
     c, rest = divmod(p + 1, seq[-1])
     return None if rest else c
-
-
-def translated_hrep(s) -> list[HalfSpace]:
-    """Facet system of P^(s) translated so its unique interior point is 0.
-
-    Only defined when s (or reverse(s)) lies in a characterized class and
-    is Fano there.  The rows are those of `hrep`, in its order, each divided
-    by the gcd of its coefficients, so a row's bound is its lattice distance
-    from the class formula's interior point.  For a reversed match the rows
-    describe the increasing representative reverse(s), whose translated
-    polytope is unimodularly equivalent.
-    """
-    seq = check_s(s)
-    cls = sequence_class(seq)
-    orientations = _theorem_orientations(cls)
-    if not orientations:
-        raise UnsupportedSequenceError(f"s={seq} is in no characterized class")
-    name, rev = orientations[0]
-    oriented = reverse(seq) if rev else seq
-    if not _fano_condition(name, oriented):
-        raise UnsupportedSequenceError(f"s={seq} is not Fano, no translated facet system")
-    p = _interior_point_formula(name, oriented)
-    rows = []
-    for row in hrep(oriented):
-        g = gcd(*row.a)
-        translated = HalfSpace(tuple(c // g for c in row.a), row.slack(p) // g)
-        if translated.b < 1:
-            raise MathematicalInconsistencyError(
-                f"{p} is not interior to {row} for s={oriented}"
-            )
-        rows.append(translated)
-    return rows
-
-
-def dual_is_lattice(halfspaces) -> bool:
-    """True iff each facet a.x <= b yields an integral dual vertex a/b."""
-    for row in halfspaces:
-        if row.b <= 0:
-            raise OriginNotInteriorError(f"row {row} has b <= 0; origin is not interior")
-        if any(c % row.b for c in row.a):
-            return False
-    return True

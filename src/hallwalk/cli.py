@@ -13,7 +13,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import prod
 from pathlib import Path
 
@@ -142,12 +142,13 @@ def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
 
 
 def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
+    """The sequences a search visits, in order; bad ranges are refused here, before any store is opened."""
     if dmax < 1 or smax < 1:
         raise UsageError("--dmax and --smax must be >= 1")
     if count is None:
-        for d in range(1, dmax + 1):
-            yield from product(range(1, smax + 1), repeat=d)
-        return
+        return chain.from_iterable(product(range(1, smax + 1), repeat=d) for d in range(1, dmax + 1))
+    if count < 1:
+        raise UsageError("--random must be >= 1")
     if count > smax**dmax:
         raise UsageError(
             f"--random {count} asks for more distinct sequences than the {smax}^{dmax} available"
@@ -157,15 +158,12 @@ def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
         # the whole range, so the seed only sets the order: one shuffle, no rejected draws
         everything = list(product(range(1, smax + 1), repeat=dmax))
         rng.shuffle(everything)
-        yield from everything
-        return
+        return everything
     # smaller subsets keep these draws, so seeded runs and resumed stores do not change
-    seen = set()
+    seen: dict[tuple, None] = {}
     while len(seen) < count:
-        s = tuple(rng.randint(1, smax) for _ in range(dmax))
-        if s not in seen:
-            seen.add(s)
-            yield s
+        seen.setdefault(tuple(rng.randint(1, smax) for _ in range(dmax)))
+    return list(seen)
 
 
 def _is_whole_record(line: bytes) -> bool:
@@ -178,8 +176,8 @@ def _is_whole_record(line: bytes) -> bool:
     return True
 
 
-def _read_store(out: Path) -> dict[tuple, str]:
-    """Records of an existing store by sequence.
+def _read_store(out: Path) -> tuple[dict[tuple, str], int]:
+    """Records of an existing store by sequence, and how many of them are witnesses.
 
     A crash can tear the final line; it is cut from the file so that its
     record is computed again.  A malformed line anywhere else is an error.
@@ -191,10 +189,14 @@ def _read_store(out: Path) -> dict[tuple, str]:
         with out.open("r+b") as store:
             store.truncate(len(data))
     existing: dict[tuple, str] = {}
+    is_witness: dict[tuple, bool] = {}
     for line in data.decode().splitlines():
         if line.strip():
-            existing[tuple(json.loads(line)["s"])] = line
-    return existing
+            record = json.loads(line)
+            s = tuple(record["s"])
+            existing[s] = line
+            is_witness[s] = "witness" in record
+    return existing, sum(is_witness.values())
 
 
 def _replace_store(out: Path, text: str) -> None:
@@ -209,13 +211,14 @@ def _replace_store(out: Path, text: str) -> None:
 
 def _cmd_search(args) -> int:
     out = Path(args.out)
-    existing = _read_store(out) if args.resume and out.exists() else {}
+    sequences = _sweep_sequences(args.dmax, args.smax, args.random, args.seed)
+    existing, witnesses = _read_store(out) if args.resume and out.exists() else ({}, 0)
     budget = _budget()
     levels: dict = {}  # the IDP transfer's levels, shared by this run's records only
     lines: dict[tuple, str] = dict(existing)
     new = 0
     with out.open("a") as sink:
-        for s in _sweep_sequences(args.dmax, args.smax, args.random, args.seed):
+        for s in sequences:
             if s in existing:
                 continue
             record = search_record(s, budget=budget, k_max=args.idp_max_k, _levels=levels)
@@ -224,7 +227,7 @@ def _cmd_search(args) -> int:
             sink.flush()
             lines[s] = line
             new += 1
-    witnesses = sum(1 for line in lines.values() if "witness" in json.loads(line))
+            witnesses += "witness" in record
     ordered = sorted(lines, key=lambda s: (len(s), s))
     _replace_store(out, "".join(lines[s] + "\n" for s in ordered))
     _emit(

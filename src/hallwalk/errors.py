@@ -21,10 +21,6 @@ class UnsupportedSequenceError(HallwalkError):
     """The sequence is outside the class an operation is defined for."""
 
 
-class OriginNotInteriorError(HallwalkError):
-    """A half-space system expected to contain the origin strictly does not."""
-
-
 class PreconditionError(HallwalkError):
     """A documented operation precondition was violated by the caller."""
 

@@ -2,8 +2,10 @@
 
 The polytope of a positive integer sequence s = (s_1, ..., s_d) is
 
-    { x in R^d : 0 <= x_1/s_1 <= x_2/s_2 <= ... <= x_d/s_d <= 1 }.
+    { x in R^d : 0 <= x_1/s_1 <= x_2/s_2 <= ... <= x_d/s_d <= 1 },
 
+cut out by d+1 facet rows: -x_1 <= 0, then s_{i+1} x_i - s_i x_{i+1} <= 0
+for each adjacent pair, then x_d <= s_d (t*s_d for the dilate t*P^(s)).
 Points are stored in ascending index order (x_1, ..., x_d) everywhere;
 vertex matrices displayed elsewhere with x_d on top are re-indexed at the
 boundary.  All arithmetic is exact.  `contains` and `reflect` check s, then
@@ -13,21 +15,8 @@ callers with many points of one checked s call directly.
 
 from itertools import accumulate, repeat
 from operator import floordiv, mul, sub
-from typing import NamedTuple
 
 from .errors import BudgetExceededError, DimensionError
-
-
-class HalfSpace(NamedTuple):
-    """Inequality a . x <= b with integer data."""
-
-    a: tuple[int, ...]
-    b: int
-
-    def slack(self, point):
-        if len(point) != len(self.a):
-            raise DimensionError(f"point has length {len(point)}, expected {len(self.a)}")
-        return self.b - sum(c * x for c, x in zip(self.a, point))
 
 
 def check_s(s) -> tuple[int, ...]:
@@ -53,43 +42,6 @@ def reverse(s) -> tuple[int, ...]:
     return tuple(check_s(s)[::-1])
 
 
-def dilate(s, r: int) -> tuple[int, ...]:
-    """Sequence of the r-th dilate: r*P^(s) = P^(r*s)."""
-    if r < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {r}")
-    return tuple(r * v for v in check_s(s))
-
-
-def vertices(s) -> list[tuple[int, ...]]:
-    """All d+1 vertices: vertex j turns on the top j coordinates at s_i."""
-    seq = check_s(s)
-    d = len(seq)
-    return [
-        tuple(seq[i] if i >= d - j else 0 for i in range(d))
-        for j in range(d + 1)
-    ]
-
-
-def hrep(s, t: int = 1) -> list[HalfSpace]:
-    """The d+1 defining half-spaces of the dilate t*P^(s).
-
-    Rows: -x_1 <= 0, then s_{i+1} x_i - s_i x_{i+1} <= 0 for each adjacent
-    pair, then x_d <= t*s_d.  Dilation scales only the final bound.
-    """
-    seq = check_s(s)
-    if t < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {t}")
-    d = len(seq)
-    rows = [HalfSpace(tuple(-1 if i == 0 else 0 for i in range(d)), 0)]
-    for i in range(d - 1):
-        a = [0] * d
-        a[i] = seq[i + 1]
-        a[i + 1] = -seq[i]
-        rows.append(HalfSpace(tuple(a), 0))
-    rows.append(HalfSpace(tuple(1 if i == d - 1 else 0 for i in range(d)), t * seq[d - 1]))
-    return rows
-
-
 def contains(s, point, t: int = 1, strict: bool = False) -> bool:
     """Membership of a point (ints or Fractions) in t*P^(s), or its interior if strict, by `_chain`."""
     seq = check_s(s)
@@ -102,9 +54,9 @@ def contains(s, point, t: int = 1, strict: bool = False) -> bool:
 
 
 def _chain(seq, point, t: int = 1) -> tuple[bool, int]:
-    """(inside, tight) of a point of length d against the rows of hrep(seq, t), for a checked seq.
+    """(inside, tight) of a point of length d against the d+1 facet rows of t*P^(seq), for a checked seq.
 
-    The d+1 slacks, in `hrep` order, are x_1, then s_i x_{i+1} - s_{i+1} x_i
+    The d+1 slacks, row r at bit r, are x_1, then s_i x_{i+1} - s_{i+1} x_i
     for each adjacent pair, then t*s_d - x_d.  inside: every slack is >= 0.
     tight: the bitmask of the rows whose slack is 0, outside points included.
     """

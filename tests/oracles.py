@@ -2,13 +2,31 @@
 
 Production never calls these: the ascent statistic of one inversion
 sequence, unimodality of a delta-vector, the determinant test of one
-simplex, and the free-sum split of P^((s,t)) checked point by point.
+simplex, the free-sum split of P^((s,t)) checked point by point, the
+vertices and the half-space rows of P^(s) and of its dilates, and the
+reflexive test on the rows translated to the interior point (the dual is
+a lattice polytope), which production decides by the facet index.
 Tests import them with `from oracles import ...`.
 """
 
+from math import gcd
+from typing import NamedTuple
+
+from hallwalk.classify import (
+    _fano_condition,
+    _interior_point_formula,
+    _theorem_orientations,
+    sequence_class,
+)
 from hallwalk.delta import delta_vector
 from hallwalk.ehrhart import delta_from_counts
-from hallwalk.errors import DimensionError, PreconditionError
+from hallwalk.errors import (
+    DimensionError,
+    HallwalkError,
+    MathematicalInconsistencyError,
+    PreconditionError,
+    UnsupportedSequenceError,
+)
 from hallwalk.intlinalg import determinant, edge_matrix
 from hallwalk.polytope import check_budget, check_s, lattice_points, reverse
 
@@ -110,3 +128,98 @@ def check_decomposition(s, t, budget=None) -> bool:
 
     counts = _free_sum_counts(s, t_rev, dim, budget)
     return delta_from_counts(counts) == delta_vector(composite, budget=budget)
+
+
+class OriginNotInteriorError(HallwalkError):
+    """A half-space system expected to contain the origin strictly does not."""
+
+
+class HalfSpace(NamedTuple):
+    """Inequality a . x <= b with integer data."""
+
+    a: tuple[int, ...]
+    b: int
+
+    def slack(self, point):
+        if len(point) != len(self.a):
+            raise DimensionError(f"point has length {len(point)}, expected {len(self.a)}")
+        return self.b - sum(c * x for c, x in zip(self.a, point))
+
+
+def dilate(s, r: int) -> tuple[int, ...]:
+    """Sequence of the r-th dilate: r*P^(s) = P^(r*s)."""
+    if r < 1:
+        raise ValueError(f"dilation factor must be >= 1, got {r}")
+    return tuple(r * v for v in check_s(s))
+
+
+def vertices(s) -> list[tuple[int, ...]]:
+    """All d+1 vertices: vertex j turns on the top j coordinates at s_i."""
+    seq = check_s(s)
+    d = len(seq)
+    return [
+        tuple(seq[i] if i >= d - j else 0 for i in range(d))
+        for j in range(d + 1)
+    ]
+
+
+def hrep(s, t: int = 1) -> list[HalfSpace]:
+    """The d+1 defining half-spaces of the dilate t*P^(s).
+
+    Rows: -x_1 <= 0, then s_{i+1} x_i - s_i x_{i+1} <= 0 for each adjacent
+    pair, then x_d <= t*s_d.  Dilation scales only the final bound.
+    """
+    seq = check_s(s)
+    if t < 1:
+        raise ValueError(f"dilation factor must be >= 1, got {t}")
+    d = len(seq)
+    rows = [HalfSpace(tuple(-1 if i == 0 else 0 for i in range(d)), 0)]
+    for i in range(d - 1):
+        a = [0] * d
+        a[i] = seq[i + 1]
+        a[i + 1] = -seq[i]
+        rows.append(HalfSpace(tuple(a), 0))
+    rows.append(HalfSpace(tuple(1 if i == d - 1 else 0 for i in range(d)), t * seq[d - 1]))
+    return rows
+
+
+def translated_hrep(s) -> list[HalfSpace]:
+    """Facet system of P^(s) translated so its unique interior point is 0.
+
+    Only defined when s (or reverse(s)) lies in a characterized class and
+    is Fano there.  The rows are those of `hrep`, in its order, each divided
+    by the gcd of its coefficients, so a row's bound is its lattice distance
+    from the class formula's interior point.  For a reversed match the rows
+    describe the increasing representative reverse(s), whose translated
+    polytope is unimodularly equivalent.
+    """
+    seq = check_s(s)
+    cls = sequence_class(seq)
+    orientations = _theorem_orientations(cls)
+    if not orientations:
+        raise UnsupportedSequenceError(f"s={seq} is in no characterized class")
+    name, rev = orientations[0]
+    oriented = reverse(seq) if rev else seq
+    if not _fano_condition(name, oriented):
+        raise UnsupportedSequenceError(f"s={seq} is not Fano, no translated facet system")
+    p = _interior_point_formula(name, oriented)
+    rows = []
+    for row in hrep(oriented):
+        g = gcd(*row.a)
+        translated = HalfSpace(tuple(c // g for c in row.a), row.slack(p) // g)
+        if translated.b < 1:
+            raise MathematicalInconsistencyError(
+                f"{p} is not interior to {row} for s={oriented}"
+            )
+        rows.append(translated)
+    return rows
+
+
+def dual_is_lattice(halfspaces) -> bool:
+    """True iff each facet a.x <= b yields an integral dual vertex a/b."""
+    for row in halfspaces:
+        if row.b <= 0:
+            raise OriginNotInteriorError(f"row {row} has b <= 0; origin is not interior")
+        if any(c % row.b for c in row.a):
+            return False
+    return True

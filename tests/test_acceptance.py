@@ -11,15 +11,15 @@ import random
 from itertools import combinations, product
 from math import prod
 
-from hallwalk.classify import classify, dual_is_lattice, gorenstein_index, translated_hrep
+from hallwalk.classify import classify, gorenstein_index
 from hallwalk.cli import main as cli_main
 from hallwalk.delta import degree, delta_vector, is_symmetric
 from hallwalk.ehrhart import count, delta_from_counts, dilate_counts
 from hallwalk.freesum import composite_sequence, gorenstein_compose, idp_compose, poly_mul
 from hallwalk.idp import greedy_peel, is_idp
-from hallwalk.polytope import contains, dilate, lattice_points, reverse
+from hallwalk.polytope import contains, lattice_points, reverse
 from hallwalk.triangulate import chimney_triangulation, verify_triangulation
-from oracles import check_decomposition, is_unimodal
+from oracles import check_decomposition, dilate, dual_is_lattice, is_unimodal, translated_hrep
 
 BUDGET = 10_000_000
 

@@ -12,18 +12,13 @@ from hallwalk.classify import (
     WEAKLY_MONOTONE,
     _interior_chain,
     classify,
-    dual_is_lattice,
     gorenstein_index,
     sequence_class,
-    translated_hrep,
 )
 from hallwalk.delta import delta_vector, degree, is_symmetric
-from hallwalk.errors import (
-    MathematicalInconsistencyError,
-    OriginNotInteriorError,
-    UnsupportedSequenceError,
-)
-from hallwalk.polytope import HalfSpace, contains, dilate, lattice_points
+from hallwalk.errors import MathematicalInconsistencyError, UnsupportedSequenceError
+from hallwalk.polytope import contains, lattice_points
+from oracles import HalfSpace, OriginNotInteriorError, dilate, dual_is_lattice, translated_hrep
 
 
 def test_sequence_class_examples():

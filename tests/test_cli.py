@@ -414,6 +414,48 @@ def test_search_resume_rejects_a_malformed_inner_line(tmp_path, capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_search_counts_a_witness_it_writes_and_one_it_resumes(tmp_path, capsys, monkeypatch):
+    import hallwalk.cli as cli
+    from hallwalk.errors import MathematicalInconsistencyError
+
+    classify = cli.classify
+
+    def disagrees_on_2_1(s, budget=None, _delta=None):
+        if tuple(s) == (2, 1):
+            raise MathematicalInconsistencyError("forced disagreement")
+        return classify(s, budget=budget, _delta=_delta)
+
+    out = tmp_path / "r.jsonl"
+    argv = ["search", "--dmax", "2", "--smax", "2", "--out", str(out)]
+    monkeypatch.setattr(cli, "classify", disagrees_on_2_1)
+    code, stdout, _ = run(capsys, *argv)
+    assert (code, json.loads(stdout)["witnesses"]) == (1, 1)
+    witnessed = [json.loads(line)["s"] for line in out.read_text().splitlines() if "witness" in json.loads(line)]
+    assert witnessed == [[2, 1]]
+    # the resumed run computes nothing, so only the stored record can carry the witness
+    monkeypatch.setattr(cli, "classify", classify)
+    code, stdout, _ = run(capsys, *argv, "--resume")
+    assert code == 1
+    assert json.loads(stdout) == {"out": str(out), "records": 6, "new_records": 0, "witnesses": 1}
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ("--dmax", "0", "--smax", "2"),
+        ("--dmax", "2", "--smax", "0"),
+        ("--dmax", "2", "--smax", "2", "--random", "-3"),
+        ("--dmax", "2", "--smax", "2", "--random", "0"),
+        ("--dmax", "2", "--smax", "2", "--random", "5"),
+    ],
+)
+def test_search_rejects_bad_ranges_before_it_opens_the_store(tmp_path, capsys, ranges):
+    out = tmp_path / "r.jsonl"
+    code, stdout, err = run(capsys, "search", *ranges, "--out", str(out))
+    assert (code, stdout, json.loads(err)["error"]) == (2, "", "usage")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_random_mode_is_seeded(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -1,7 +1,9 @@
-"""The package's public surface, and the names the benchmark's tracer looks up in it."""
+"""The package's public surface, the names the benchmark's tracer looks up in it, and its split from the test oracles."""
 
+import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import hallwalk
@@ -26,3 +28,31 @@ def test_every_traced_probe_is_a_function_of_the_package():
         if not callable(getattr(importlib.import_module(f"hallwalk.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_no_oracle_is_also_a_name_of_the_package():
+    # a reference lives in exactly one place: beside the tests, never also in src
+    import oracles
+
+    defined = [name for name, value in vars(oracles).items() if getattr(value, "__module__", None) == "oracles"]
+    modules = [hallwalk] + [
+        importlib.import_module(f"hallwalk.{info.name}") for info in pkgutil.iter_modules(hallwalk.__path__)
+    ]
+    assert "hrep" in defined and hallwalk.polytope in modules
+    assert [(m.__name__, name) for m in modules for name in defined if hasattr(m, name)] == []
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    tests = Path(__file__).resolve().parent
+    local = {"tests"} | {path.stem for path in tests.glob("*.py")}
+    found = []
+    for path in sorted(Path(hallwalk.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] in local]
+    assert found == []

@@ -5,18 +5,15 @@ import pytest
 
 from hallwalk.errors import BudgetExceededError, DimensionError
 from hallwalk.polytope import (
-    HalfSpace,
     _chain,
     check_s,
     contains,
-    dilate,
-    hrep,
     lattice_points,
     parse_s,
     reflect,
     reverse,
-    vertices,
 )
+from oracles import HalfSpace, dilate, hrep, vertices
 
 
 def all_sequences(dmax, smax):
