@@ -101,7 +101,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_triangulate(args) -> int:
     s = parse_s(args.s)
-    check_budget(prod(s), _budget(), f"triangulating P^{s}")
+    # a cell of d + 1 vertices takes about as long as 1.5 (d + 1)^2 inversion sequences (README, cost table)
+    check_budget(2 * (len(s) + 1) ** 2 * prod(s), _budget(), f"triangulating P^{s}")
     tri = chimney_triangulation(s)
     report = verify_triangulation(s, tri)
     _emit({**tri.to_json(), "verification": report.to_json()})

@@ -18,12 +18,14 @@ formed: y in P and z - y in (k-1)P are chains that couple only adjacent
 coordinates, so one pass from z_d down, which keeps per coordinate only
 the distinct pairs (z_i, the y_i the suffix leaves open), finds the least
 target that does not split.  By the proof above that target does not
-exist, so a witness is an inconsistency.  A level of that pass depends only
-on the suffix (s_i, ..., s_d) and k, so a sweep may share the levels between
-its sequences (`_levels`); each is still charged as if it were built.
+exist, so a witness is an inconsistency.  What a state of that pass hands
+down depends only on (s_i, s_{i+1}, k) and the state, and a level only on
+the suffix (s_i, ..., s_d) and k, so a sweep may share both between its
+sequences (`_levels`); each is still charged as if it were built.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import MathematicalInconsistencyError, PreconditionError
 from .polytope import _chain, check_budget, check_s, contains, count
@@ -125,8 +127,12 @@ def _tests(seq, k: int, i: int, z_ups, budget, spent: int, what: str) -> int:
     `z_ups` gives z_{i+1} once per state, in ascending order.  The span
     lengths are summed in step with top, with no table, and the running
     total is checked at each new z_i and after each state, so a refusal
-    names at most twice the budget.  A test works on masks of y_{i+1},
-    of up to s_{i+1} + 1 bits, so it is charged 1 + s_{i+1} // _WORD steps.
+    names at most twice the budget.  A test works on masks of y_{i+1}, of
+    up to s_{i+1} + 1 bits, so it is charged 1 + s_{i+1} // _WORD steps.
+    Once a memo stores the windows of (s_i, s_{i+1}, k), the prefix sums of
+    these tests over z_i stored with them give a level's total instead, and
+    this count runs only to refuse a total that would pass the budget, so
+    that the refusal names the same partial total.
     """
     width = 1 + seq[i + 1] // _WORD
     tests = z = 0  # tests: the span lengths summed over z_i < z, times width
@@ -187,27 +193,30 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     A state at z_{i+1} tests every candidate y_i over z_i = 0..top, and a
     level's tests join the running total `spent`, charged to `budget`,
     before the level builds anything (with d = 1, one test per target).
-    Each test is charged by the width of its masks (`_tests`).  A state of
-    the first coordinate with an empty mask is a target with no split; only
-    then does a pass back up name the least one.  Returns (z or None, spent).
+    Each test is charged by the width of its masks (`_tests`).  The first
+    coordinate's states are not kept: a state with an empty mask is a
+    target with no split, and only then does a pass back up name the least
+    one.  Returns (z or None, spent).
 
-    `_levels`, a dict the caller creates empty, shares levels between calls:
-    level i >= 1 depends only on (s_i, ..., s_d) and k, and its windows only
-    on (s_i, s_{i+1}, k).  A stored level is charged its tests as if it were
-    built, and one that would pass the budget has its tests run again, so
-    that the refusal names the same partial total: every (z, spent) and
-    every refusal is the same with or without the memo.  The memo's weight,
-    its levels' tests plus its windows' candidates, never passes `budget`:
-    it is emptied before an entry would pass it.
+    `_levels`, a dict the caller creates empty, shares work between calls.
+    The masks a state (z_{i+1}, mask) of level i hands down depend only on
+    (s_i, s_{i+1}, k, z_{i+1}, mask), so each state is solved once, at every
+    level; the windows of (s_i, s_{i+1}, k) are stored with the prefix sums
+    of their tests over z_i, and a level i >= 1 with its states and tests,
+    since it depends only on (s_i, ..., s_d) and k.  A stored level is
+    charged its tests as if it were built, and a level whose windows are
+    stored is charged from their prefix sums; one that would pass the
+    budget has its tests run again by `_tests`, so that the refusal names
+    the same partial total: every (z, spent) and every refusal is the same
+    with or without the memo.  The memo's weight, its levels' tests, its
+    windows' candidates and its states' masks, never passes `budget`: it
+    is emptied before an entry would pass it.
     """
     seq = check_s(s)
     d = len(seq)
     what = f"the IDP transfer of P^{seq} up to {k}*P"
-    if d == 1:
-        spent += (k * seq[0] + 1) * (1 + seq[0] // _WORD)
-        check_budget(spent, budget, what)
     # i is 0-based.  states[i]: the distinct (z_i, mask of y_i) that level i hands down, for
-    # i < d - 1; the last coordinate alone fixes a root, so roots are produced again, not kept
+    # 0 < i < d - 1; the last coordinate alone fixes a root, so roots are produced again, not kept
     states: dict[int, set[tuple[int, int]]] = {}
     windows: dict[int, list[list[tuple[int, int, int]]]] = {}
     shared = _levels is not None
@@ -216,46 +225,88 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
         return _roots(seq, k) if i == d - 1 else states[i]
 
     def z_ups(i: int):
-        return range(k * seq[-1] + 1) if i == d - 2 else sorted(z for z, _ in states[i + 1])
+        """z_{i+1} once per state that level i + 1 hands down."""
+        return range(k * seq[-1] + 1) if i == d - 2 else (z for z, _ in states[i + 1])
+
+    def charged(i: int, tests=None) -> int:
+        """spent plus the tests of level i.
+
+        `tests`, or else the stored prefix sums of the level's windows, give
+        them in one step if the total stays within budget; otherwise `_tests`
+        counts them, and refuses at the same partial total.
+        """
+        if tests is None and shared and (table := _levels.get((seq[i], seq[i + 1], k))) is not None:
+            windows[i], prefix = table
+            tests = sum(prefix[seq[i] * z_up // seq[i + 1] + 1] for z_up in z_ups(i))
+        if tests is not None and (budget is None or spent + tests <= budget):
+            return spent + tests
+        return _tests(seq, k, i, sorted(z_ups(i)), budget, spent, what)
 
     def windows_of(i: int):
         if i not in windows:
             key = (seq[i], seq[i + 1], k)
             if shared and key in _levels:
-                windows[i] = _levels[key]
+                windows[i] = _levels[key][0]
             else:
                 # z_{i+1} runs up to k*s_{i+1}, so z_i up to k*s_i
                 windows[i] = [_window(seq, k, i, z) for z in range(k * seq[i] + 1)]
                 if shared:
-                    _keep(_levels, key, windows[i], sum(map(len, windows[i])), budget)
+                    width = 1 + seq[i + 1] // _WORD
+                    prefix = list(accumulate((len(window) * width for window in windows[i]), initial=0))
+                    _keep(_levels, key, (windows[i], prefix), sum(map(len, windows[i])), budget)
         return windows[i]
 
-    for i in range(d - 2, -1, -1):
+    def solver(i: int):
+        """`_masks` for level i, or with a memo a function of the same arguments that solves a state once."""
+        if not shared:
+            return _masks
+        low, high = seq[i], seq[i + 1]
+
+        def solve_once(level_windows, z_up: int, reach_up: int, top: int) -> list[int]:
+            key = (low, high, k, z_up, reach_up)
+            masks = _levels.get(key)
+            if masks is None:
+                masks = _masks(level_windows, z_up, reach_up, top)
+                _keep(_levels, key, masks, len(masks), budget)
+            return masks
+
+        return solve_once
+
+    for i in range(d - 2, 0, -1):
         key = (seq[i:], k)
-        if i and shared and key in _levels:
+        if shared and key in _levels:
             states[i], tests = _levels[key]
-            if budget is None or spent + tests <= budget:
-                spent += tests
-            else:  # build the charge again, so that it is refused at the same partial total
-                _tests(seq, k, i, z_ups(i), budget, spent, what)
+            spent = charged(i, tests)
             continue
         before = spent
-        spent = _tests(seq, k, i, z_ups(i), budget, spent, what)
-        level_windows = windows_of(i)
+        spent = charged(i)
         below = states[i] = set()
+        level_windows, solve = windows_of(i), solver(i)
         for z_up, reach_up in handed(i + 1):
-            below.update(enumerate(_masks(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])))
-        if i and shared:
+            below.update(enumerate(solve(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])))
+        if shared:
             _keep(_levels, key, (below, spent - before), spent - before, budget)
-    if all(reach for _, reach in handed(0)):
+    if d == 1:
+        spent += (k * seq[0] + 1) * (1 + seq[0] // _WORD)
+        check_budget(spent, budget, what)
+        empty = {z for z, reach in _roots(seq, k) if not reach}
+    else:
+        spent = charged(0)
+        empty = set()
+        level_windows, solve = windows_of(0), solver(0)
+        for z_up, reach_up in handed(1):
+            masks = solve(level_windows, z_up, reach_up, seq[0] * z_up // seq[1])
+            if not all(masks):
+                empty.update(z for z, reach in enumerate(masks) if not reach)
+    if not empty:
         return None, spent
     # least[state]: the least missing prefix (z_0, ..., z_i) below a state at z_{i+1}, if it has one
-    least = {(z, 0): () for z, reach in handed(0) if not reach}
+    least = {(z, 0): () for z in empty}
     for i in range(d - 1):
         solved = {}
-        level_windows = windows_of(i)
+        level_windows, solve = windows_of(i), solver(i)
         for z_up, reach_up in handed(i + 1):
-            masks = _masks(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])
+            masks = solve(level_windows, z_up, reach_up, seq[i] * z_up // seq[i + 1])
             found = [least[z, reach] + (z,) for z, reach in enumerate(masks) if (z, reach) in least]
             if found:
                 solved[z_up, reach_up] = min(found)

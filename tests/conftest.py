@@ -25,8 +25,8 @@ def delta_calls(monkeypatch):
 
 @pytest.fixture
 def masks_calls(monkeypatch):
-    """A list that gains one entry per `idp._masks` call, the IDP transfer's unit of work."""
+    """The arguments (windows, z_up, reach_up, top) of each `idp._masks` call, the transfer's unit of work."""
     calls = []
     masks = idp._masks
-    monkeypatch.setattr(idp, "_masks", lambda *args: calls.append(None) or masks(*args))
+    monkeypatch.setattr(idp, "_masks", lambda *args: calls.append(args) or masks(*args))
     return calls

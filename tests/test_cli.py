@@ -109,14 +109,23 @@ def test_triangulate_command(capsys):
     assert out_json(capsys, "triangulate", "1,2") == payload
 
 
-def test_triangulate_budget_is_the_cell_count(capsys, monkeypatch):
-    # P^(2,4) has 2 * 4 = 8 cells
-    monkeypatch.setenv("HALLWALK_BUDGET", "7")
+def test_triangulate_budget_charges_each_cell(capsys, monkeypatch):
+    # P^(2,4) has 2 * 4 = 8 cells of d + 1 = 3 vertices, each charged 2 * 3^2 = 18 steps
+    monkeypatch.setenv("HALLWALK_BUDGET", "143")
     code, _, err = run(capsys, "triangulate", "2,4")
     assert code == 3
     assert json.loads(err)["error"] == "budget-exceeded"
-    monkeypatch.setenv("HALLWALK_BUDGET", "8")
+    monkeypatch.setenv("HALLWALK_BUDGET", "144")
     assert out_json(capsys, "triangulate", "2,4")["verification"]["ok"] is True
+
+
+def test_triangulate_refuses_over_budget_quickly(capsys, monkeypatch):
+    # 10^6 cells fit a budget of 10^7 cells, but at about 23 us a cell they take
+    # over 20 s and most of a gigabyte
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 1.0, "triangulate", "10,100,1000")
+    assert code == 3
+    assert json.loads(err)["error"] == "budget-exceeded"
 
 
 def test_triangulate_help_hides_sampling_options(capsys):
@@ -527,6 +536,20 @@ def test_search_keeps_no_levels_between_runs(tmp_path, capsys, masks_calls):
         out_json(capsys, "search", "--dmax", "4", "--smax", "3", "--out", str(tmp_path / name))
         counts.append(len(masks_calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_search_solves_each_transfer_state_once(tmp_path, capsys, masks_calls, monkeypatch):
+    # the masks a state (z_{i+1}, mask) of level i hands down depend only on (s_i, s_{i+1}, k),
+    # which its windows fix, and on the state itself
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    out_json(capsys, "search", "--dmax", "4", "--smax", "4", "--out", str(tmp_path / "store.jsonl"))
+    states = {(tuple(map(tuple, windows)), z_up, reach_up) for windows, z_up, reach_up, _ in masks_calls}
+    assert len(masks_calls) == len(states) > 0
+    masks_calls.clear()
+    for d in range(1, 5):
+        for s in product(range(1, 5), repeat=d):
+            hallwalk.is_idp(s)
+    assert len(masks_calls) > 5 * len(states)
 
 
 def test_search_record_fields():

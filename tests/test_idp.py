@@ -436,6 +436,42 @@ def test_shared_levels_refuse_at_the_same_partial_total():
                 assert str(shared.value) == str(plain.value), (s, k, budget)
 
 
+def level_totals(monkeypatch, s, k, spent):
+    """level i -> the running totals before and after it, in the memo-free transfer from `spent`."""
+    totals = {}
+    tests = idp._tests
+
+    def recorded(seq, k, i, z_ups, budget, spent, what):
+        totals[i] = spent, tests(seq, k, i, z_ups, budget, spent, what)
+        return totals[i][1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(idp, "_tests", recorded)
+        least_undecomposable(s, k, spent=spent)
+    return totals
+
+
+@pytest.mark.parametrize(
+    "s, level",
+    [((3, 5), 0), ((2, 3, 4), 0), ((4, 2, 3), 1), ((2, 3, 2, 4), 0), ((2, 3, 2, 4), 1), ((3, 3, 4, 2), 2)],
+)
+def test_refusal_inside_a_level_charged_from_stored_prefix_sums(monkeypatch, s, level):
+    # the memo holds the windows of (s_i, s_{i+1}, k) but not the level (s_i, ..., s_d), so the
+    # level is charged from the stored prefix sums; any budget inside it is refused as without a memo
+    for k in (2, 3):
+        memo = {}
+        least_undecomposable(s[level:], k, _levels=memo)
+        assert (s[level], s[level + 1], k) in memo and (s[level:], k) not in memo
+        before, after = level_totals(monkeypatch, s, k, spent=5)[level]
+        assert after - before > 2
+        for budget in (before, (before + after) // 2, after - 1):
+            with pytest.raises(BudgetExceededError) as plain:
+                least_undecomposable(s, k, budget=budget, spent=5)
+            with pytest.raises(BudgetExceededError) as shared:
+                least_undecomposable(s, k, budget=budget, spent=5, _levels=dict(memo))
+            assert str(shared.value) == str(plain.value), (s, k, budget)
+
+
 @pytest.mark.parametrize("s, tests", [((2, 3), 34), ((2, 2, 2, 2), 261)], ids=["d2", "d4"])
 def test_shared_levels_keep_the_budget_boundary(s, tests):
     memo = {}
@@ -450,8 +486,21 @@ def test_shared_levels_keep_the_budget_boundary(s, tests):
     assert is_idp(s, budget=tests, _levels=dict(memo)).ok
 
 
+def memo_weight(key, entry) -> int:
+    """What a memo entry weighs, read off its shape: a level (suffix, k) its tests, the windows of
+    (s_i, s_{i+1}, k) their candidates, and a state (s_i, s_{i+1}, k, z_{i+1}, mask) its masks."""
+    if len(key) == 2:
+        return entry[1]
+    if len(key) == 3:
+        windows, prefix = entry
+        assert len(prefix) == len(windows) + 1
+        return sum(map(len, windows))
+    assert len(key) == 5
+    return len(entry)
+
+
 def test_shared_levels_hold_at_most_the_budget():
-    # a level weighs its tests and a window list its candidates; the memo is emptied, not grown
+    # the memo is emptied, not grown
     memo = {}
     emptied = 0
     for s in shuffled_small(9):
@@ -460,10 +509,7 @@ def test_shared_levels_hold_at_most_the_budget():
             least_undecomposable(s, 3, budget=500, _levels=memo)
         except BudgetExceededError:
             pass
-        weights = [
-            sum(map(len, entry)) if isinstance(entry, list) else entry[1]
-            for key, entry in memo.items() if key != "held"
-        ]
+        weights = [memo_weight(key, entry) for key, entry in memo.items() if key != "held"]
         assert memo.get("held", 0) == sum(weights) <= 500
         emptied += memo.get("held", 0) < held
     assert emptied > 10
