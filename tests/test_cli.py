@@ -72,6 +72,26 @@ def test_idp_verdicts_keep_their_bytes(capsys):
     )
 
 
+def test_decompose_keeps_its_bytes(capsys):
+    assert run(capsys, "decompose", "2,1,2", "2", "1,1,3") == (
+        0,
+        '{"k": 2, "parts": [[0, 0, 1], [1, 1, 2]], "s": [2, 1, 2], "target": [1, 1, 3]}\n',
+        "",
+    )
+
+
+def test_search_store_keeps_its_idp_fields(tmp_path, capsys):
+    out = tmp_path / "store.jsonl"
+    assert run(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(out))[0] == 0
+    fields = [
+        (json.loads(line)["s"], re.findall(r'"(?:idp_verdict|k_checked)": [^,]+', line))
+        for line in out.read_text().splitlines()
+    ]
+    assert fields == [
+        (s, ['"idp_verdict": true', '"k_checked": 2']) for s in ([1], [2], [1, 1], [1, 2], [2, 1], [2, 2])
+    ]
+
+
 def test_decompose_command(capsys):
     payload = out_json(capsys, "decompose", "1,2", "2", "1,3")
     assert payload["parts"] == [[0, 1], [1, 2]]
