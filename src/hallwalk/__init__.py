@@ -3,8 +3,9 @@
 Library layers: `polytope` (membership and tight facets along the chain,
 lattice points, point counts, the reversal map, the work budget), `delta`
 (ascent-statistic delta-vectors), `ehrhart` (independent counting oracle),
-`classify` (Fano/reflexive/Gorenstein), `idp` (integer decomposition
-property), `triangulate` (unimodular chimney triangulations), `intlinalg`
+`classify` (Fano/reflexive/Gorenstein), `idp` (the layer split of a point
+of k*P and the IDP cross-check, which returns the largest k it checked or
+raises), `triangulate` (unimodular chimney triangulations), `intlinalg`
 (exact determinants), `freesum` (Gorenstein and IDP compositions), `cli`
 (command line and sweep store).
 """
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedSequenceError,
 )
 from .freesum import gorenstein_compose, idp_compose
-from .idp import Decomposition, IdpResult, decompose, greedy_peel, is_idp
+from .idp import decompose, is_idp
 from .intlinalg import determinant
 from .polytope import DEFAULT_BUDGET, check_s, contains, lattice_points, parse_s, reverse
 from .triangulate import Triangulation, chimney_triangulation, verify_triangulation
@@ -39,11 +40,9 @@ __all__ = [
     "BudgetExceededError",
     "Classification",
     "DEFAULT_BUDGET",
-    "Decomposition",
     "DimensionError",
     "EhrhartData",
     "HallwalkError",
-    "IdpResult",
     "InconsistentCountsError",
     "MathematicalInconsistencyError",
     "PreconditionError",
@@ -63,7 +62,6 @@ __all__ = [
     "ehrhart_polynomial",
     "gorenstein_compose",
     "gorenstein_index",
-    "greedy_peel",
     "idp_compose",
     "is_idp",
     "is_symmetric",

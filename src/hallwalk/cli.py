@@ -75,10 +75,14 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _idp_verdict(k_checked: int) -> dict:
+    """The fields of an IDP check that returned; `is_idp` raises on a witness, so the verdict is always true."""
+    return {"verdict": True, "k_checked": k_checked, "witness": None}
+
+
 def _cmd_idp(args) -> int:
     s = parse_s(args.s)
-    result = is_idp(s, k_max=args.idp_max_k, budget=_budget())
-    _emit({"s": list(s), **result.to_json()})
+    _emit({"s": list(s), **_idp_verdict(is_idp(s, k_max=args.idp_max_k, budget=_budget()))})
     return EXIT_OK
 
 
@@ -87,15 +91,7 @@ def _cmd_decompose(args) -> int:
     point = tuple(int(v) for v in args.x.split(","))
     # a part costs about as much time as 6 of its coordinates (README, cost table)
     check_budget(args.k * (len(s) + 6), _budget(), f"writing a point of {args.k}*P^{s} as {args.k} parts")
-    result = decompose(s, args.k, point)
-    _emit(
-        {
-            "s": list(s),
-            "k": args.k,
-            "target": list(result.target),
-            "parts": [list(p) for p in result.parts],
-        }
-    )
+    _emit({"s": s, "k": args.k, "target": point, "parts": decompose(s, args.k, point)})
     return EXIT_OK
 
 
@@ -112,12 +108,14 @@ def _cmd_triangulate(args) -> int:
 def _cmd_compose(args) -> int:
     left = parse_s(args.left)
     right = parse_s(args.right)
+    header = {"left": list(left), "right": list(right), "mode": args.mode}
     if args.mode == "gorenstein":
         result = gorenstein_compose(left, right, budget=_budget())
-    else:
-        result = idp_compose(left, right, budget=_budget())
-    _emit({"left": list(left), "right": list(right), "mode": args.mode, **result.to_json()})
-    return EXIT_OK if result.ok else EXIT_INCONSISTENT
+        _emit({**header, **result.to_json()})
+        return EXIT_OK if result.ok else EXIT_INCONSISTENT
+    composite, k_checked = idp_compose(left, right, budget=_budget())
+    _emit({**header, "composite": list(composite), **_idp_verdict(k_checked), "ok": True})
+    return EXIT_OK
 
 
 def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
@@ -130,9 +128,8 @@ def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
         dv = delta_vector(s, budget=budget)
         record["delta"] = list(dv)
         record["classification"] = classify(s, budget=budget, _delta=dv).to_json()
-        idp_result = is_idp(s, k_max=k_max, budget=budget, _levels=_levels)
-        record["idp_verdict"] = idp_result.ok
-        record["k_checked"] = idp_result.k_checked
+        record["k_checked"] = is_idp(s, k_max=k_max, budget=budget, _levels=_levels)
+        record["idp_verdict"] = True  # `is_idp` raises on a witness
     except MathematicalInconsistencyError as exc:
         record["witness"] = {"kind": "theorem-oracle-disagreement", "detail": str(exc)}
     except BudgetExceededError as exc:

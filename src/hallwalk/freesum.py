@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .classify import gorenstein_index
 from .delta import delta_vector
 from .errors import PreconditionError
-from .idp import IdpResult, is_idp
+from .idp import is_idp
 from .polytope import check_s
 
 
@@ -80,24 +80,12 @@ def gorenstein_compose(s, t, budget=None) -> GorensteinComposition:
     return GorensteinComposition(composite, predicted, confirmed, delta_ok)
 
 
-@dataclass(frozen=True)
-class IdpComposition:
-    composite: tuple[int, ...]
-    result: IdpResult
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    def to_json(self) -> dict:
-        return {"composite": list(self.composite), **self.result.to_json(), "ok": self.ok}
-
-
-def idp_compose(s, t, k_max=None, budget=None) -> IdpComposition:
-    """Compose two sequences into (s, 1, t) and re-verify the composite.
+def idp_compose(s, t, k_max=None, budget=None) -> tuple[tuple[int, ...], int]:
+    """Compose two sequences into (s, 1, t), re-verify the composite and return (composite, K).
 
     Every s is IDP by the layer split (see `hallwalk.idp`), so the factors
-    need no check of their own.
+    need no check of their own, and the composite's check raises rather
+    than fails.
     """
     composite = composite_sequence(s, t)
-    return IdpComposition(composite, is_idp(composite, k_max=k_max, budget=budget))
+    return composite, is_idp(composite, k_max=k_max, budget=budget)

@@ -8,8 +8,10 @@ lattice point x of k*P splits into the k layers
 Each layer is an integer point, and y^(l)_i / s_i = clamp(x_i/s_i - l + 1, 0, 1)
 is nondecreasing in i because x_i / s_i is, so y^(l) lies in P.  The layers
 sum to x because the clamps of t - l + 1 over l = 1..k sum to t for every
-t in [0, k].  For weakly increasing s the top layer is the greedy peel:
-zero below the least j with x_j > (k-1)*s_j, and x_i - (k-1)*s_i from j on.
+t in [0, k].  The top layer is the paper's greedy peel: zero below the
+least j with x_j > (k-1)*s_j, and x_i - (k-1)*s_i from j on.  The paper
+states it for weakly increasing s, but the i with x_i > (k-1)*s_i form a
+suffix for every s, because x_i / s_i is nondecreasing.
 
 The cross-check `is_idp` is independent of the split: it checks the identity
 kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d)  level by level, which is
@@ -18,24 +20,17 @@ formed: y in P and z - y in (k-1)P are chains that couple only adjacent
 coordinates, so one pass from z_d down, which keeps per coordinate only
 the distinct pairs (z_i, the y_i the suffix leaves open), finds the least
 target that does not split.  By the proof above that target does not
-exist, so a witness is an inconsistency.  What a state of that pass hands
-down depends only on (s_i, s_{i+1}, k) and the state, and a level only on
-the suffix (s_i, ..., s_d) and k, so a sweep may share both between its
-sequences (`_levels`); each is still charged as if it were built.
+exist, so a witness is an inconsistency: `is_idp` returns the largest k it
+checked, or raises.  What a state of that pass hands down depends only on
+(s_i, s_{i+1}, k) and the state, and a level only on the suffix
+(s_i, ..., s_d) and k, so a sweep may share both between its sequences
+(`_levels`); each is still charged as if it were built.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import MathematicalInconsistencyError, PreconditionError
 from .polytope import _chain, check_budget, check_s, contains, count
-
-
-def _lattice_point(seq, k: int, x) -> tuple[int, ...]:
-    point = tuple(int(v) for v in x)
-    if not contains(seq, point, t=k):
-        raise PreconditionError(f"{point} is not a lattice point of {k}*P^{seq}")
-    return point
 
 
 def _layer(seq, point, level: int) -> tuple[int, ...]:
@@ -43,34 +38,8 @@ def _layer(seq, point, level: int) -> tuple[int, ...]:
     return tuple(min(max(a - (level - 1) * v, 0), v) for a, v in zip(point, seq))
 
 
-def greedy_peel(s, k: int, x) -> tuple[int, ...]:
-    """The top layer of x in k*P^(s): y in P with x - y in (k-1)*P, for every s.
-
-    For weakly increasing s this is the greedy peel, which subtracts
-    (k-1)*s from the tail that starts at the least j with x_j > (k-1)*s_j.
-    """
-    seq = check_s(s)
-    if k < 2:
-        raise PreconditionError(f"peeling needs k >= 2, got {k}")
-    point = _lattice_point(seq, k, x)
-    y = _layer(seq, point, k)
-    rest = tuple(a - b for a, b in zip(point, y))
-    if not (_chain(seq, y)[0] and _chain(seq, rest, k - 1)[0]):
-        raise MathematicalInconsistencyError(
-            f"peel of {point} from {k}*P^{seq} produced {y} + {rest}"
-        )
-    return y
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    s: tuple[int, ...]
-    target: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
-
-
-def decompose(s, k: int, x) -> Decomposition:
-    """Write x in k*P^(s) as its k layers, top layer (l = k) first, for every s.
+def decompose(s, k: int, x) -> tuple[tuple[int, ...], ...]:
+    """The k layers of x in k*P^(s), top layer (l = k) first, for every s.
 
     The parts are lattice points of P^(s) that sum to x; the sum and each
     part's membership are checked once at the end.
@@ -78,22 +47,15 @@ def decompose(s, k: int, x) -> Decomposition:
     seq = check_s(s)
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    point = _lattice_point(seq, k, x)
+    point = tuple(int(v) for v in x)
+    if not contains(seq, point, t=k):
+        raise PreconditionError(f"{point} is not a lattice point of {k}*P^{seq}")
     parts = tuple(_layer(seq, point, level) for level in range(k, 0, -1))
     if tuple(map(sum, zip(*parts))) != point or not all(_chain(seq, p)[0] for p in parts):
         raise MathematicalInconsistencyError(
             f"decomposition of {point} in {k}*P^{seq} failed: parts {parts}"
         )
-    return Decomposition(seq, point, parts)
-
-
-@dataclass(frozen=True)
-class IdpResult:
-    k_checked: int
-    ok = True  # not a field: `is_idp` raises instead of returning a failure
-
-    def to_json(self) -> dict:
-        return {"verdict": self.ok, "k_checked": self.k_checked, "witness": None}
+    return parts
 
 
 def first_undecomposable(targets, lower, ground) -> tuple[int, ...] | None:
@@ -314,8 +276,8 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     return min(prefix + (z,) for (z, _), prefix in least.items()), spent
 
 
-def is_idp(s, k_max=None, budget=None, _levels=None) -> IdpResult:
-    """Check kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)).
+def is_idp(s, k_max=None, budget=None, _levels=None) -> int:
+    """Check kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)); return K.
 
     The layer split proves the identity for every s and k; the transfer
     re-derives it independently.  One budget covers the call: `count` of
@@ -341,4 +303,4 @@ def is_idp(s, k_max=None, budget=None, _levels=None) -> IdpResult:
                 f"the layer split proves {k}*P^{seq} = {k - 1}*P + P, but the "
                 f"transfer finds no split of {witness}"
             )
-    return IdpResult(top)
+    return top

@@ -52,10 +52,7 @@ class Triangulation:
     simplices: tuple[Simplex, ...]
 
     def to_json(self) -> dict:
-        return {
-            "s": list(self.s),
-            "simplices": [[list(v) for v in simplex] for simplex in self.simplices],
-        }
+        return {"s": list(self.s), "simplices": self.simplices}
 
 
 def _has_integer_ratios(seq) -> bool:

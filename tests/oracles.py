@@ -2,8 +2,9 @@
 
 Production never calls these: the ascent statistic of one inversion
 sequence, unimodality of a delta-vector, the determinant test of one
-simplex, the free-sum split of P^((s,t)) checked point by point, the
-vertices and the half-space rows of P^(s) and of its dilates, and the
+simplex, the paper's greedy peel of a point of k*P (its closed form, not
+the layer split), the free-sum split of P^((s,t)) checked point by point,
+the vertices and the half-space rows of P^(s) and of its dilates, and the
 reflexive test on the rows translated to the interior point (the dual is
 a lattice polytope), which production decides by the facet index.
 Tests import them with `from oracles import ...`.
@@ -68,6 +69,19 @@ def simplex_is_unimodular(vertices) -> bool:
     if len(vertices) != d + 1 or any(len(v) != d for v in vertices):
         raise DimensionError(f"need exactly {d + 1} points of dimension {d}")
     return abs(determinant(edge_matrix(vertices))) == 1
+
+
+def greedy_peel(s, k: int, x) -> tuple[int, ...]:
+    """The paper's peel of x in k*P^(s): y in P with x - y in (k-1)*P.
+
+    Zero below the least j with x_j > (k-1)*s_j, and x_i - (k-1)*s_i from j
+    on.  The paper states it for weakly increasing s, but x_i / s_i is
+    nondecreasing for every s, so those i form a suffix and the tail is the
+    top layer of the split for every s.
+    """
+    seq = check_s(s)
+    j = next((i for i, (a, v) in enumerate(zip(x, seq)) if a > (k - 1) * v), len(seq))
+    return (0,) * j + tuple(a - (k - 1) * v for a, v in zip(x[j:], seq[j:]))
 
 
 def _free_sum_counts(s, t_rev, kmax, budget) -> list[int]:

@@ -16,10 +16,10 @@ from hallwalk.cli import main as cli_main
 from hallwalk.delta import degree, delta_vector, is_symmetric
 from hallwalk.ehrhart import count, delta_from_counts, dilate_counts
 from hallwalk.freesum import composite_sequence, gorenstein_compose, idp_compose, poly_mul
-from hallwalk.idp import greedy_peel, is_idp
+from hallwalk.idp import is_idp
 from hallwalk.polytope import contains, lattice_points, reverse
 from hallwalk.triangulate import chimney_triangulation, verify_triangulation
-from oracles import check_decomposition, dilate, dual_is_lattice, is_unimodal, translated_hrep
+from oracles import check_decomposition, dilate, dual_is_lattice, greedy_peel, is_unimodal, translated_hrep
 
 BUDGET = 10_000_000
 
@@ -198,9 +198,9 @@ def test_criterion_6_greedy_peel_and_idp():
                     rest = tuple(a - b for a, b in zip(x, y))
                     if not (contains(u, y) and contains(u, rest, t=k - 1)):
                         failures.append((u, k, x, y))
-        result = is_idp(s, budget=BUDGET)
-        if not result.ok:
-            failures.append((s, "idp", result))
+        k_checked = is_idp(s, budget=BUDGET)
+        if k_checked != max(2, len(s) - 1):
+            failures.append((s, "idp", k_checked))
     report("criterion 6: greedy peel postconditions and monotone IDP", failures, checked)
 
 
@@ -257,8 +257,8 @@ def test_criterion_8_compositions():
                     failures.append((s, t, "gorenstein-compose", g))
                     continue
             i = idp_compose(s, t, budget=BUDGET)
-            if not i.ok:
-                failures.append((s, t, "idp-compose", i.result))
+            if i != (comp, max(2, len(comp) - 1)):
+                failures.append((s, t, "idp-compose", i))
     report("criterion 8: free-sum composition theorems", failures, checked)
 
 

@@ -107,15 +107,14 @@ def test_gorenstein_compose_index_and_symmetry():
 
 
 def test_idp_compose_examples():
-    assert idp_compose((2, 3), (2,)).composite == (2, 3, 1, 2)
-    assert idp_compose((2, 3), (2,)).ok
-    assert idp_compose((1,), (1,)).composite == (1, 1, 1)
-    assert idp_compose((2,), (2,)).ok
+    assert idp_compose((2, 3), (2,)) == ((2, 3, 1, 2), 3)
+    assert idp_compose((1,), (1,)) == ((1, 1, 1), 2)
+    assert idp_compose((2,), (2,)) == ((2, 1, 2), 2)
 
 
 def test_idp_compose_verdict_matches_direct_check():
-    comp = idp_compose((2,), (3, 2)).composite
-    assert is_idp(comp).ok
+    comp, k_checked = idp_compose((2,), (3, 2))
+    assert is_idp(comp) == k_checked == 3
 
 
 def test_lattice_points_span_the_lattice():

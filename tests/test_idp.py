@@ -10,11 +10,11 @@ from hallwalk.errors import BudgetExceededError, MathematicalInconsistencyError,
 from hallwalk.idp import (
     decompose,
     first_undecomposable,
-    greedy_peel,
     is_idp,
     least_undecomposable,
 )
 from hallwalk.polytope import check_s, contains, lattice_points
+from oracles import greedy_peel
 
 
 def small_sequences(dmax, smax):
@@ -37,11 +37,11 @@ def test_greedy_peel_examples():
     assert greedy_peel((2, 3), 3, (0, 0)) == (0, 0)  # nothing to peel
 
 
-def test_greedy_peel_preconditions():
+def test_decompose_preconditions():
     with pytest.raises(PreconditionError):
-        greedy_peel((1, 2), 2, (5, 5))
+        decompose((1, 2), 2, (5, 5))
     with pytest.raises(PreconditionError):
-        greedy_peel((1, 2), 1, (0, 0))
+        decompose((1, 2), 0, (0, 0))
 
 
 def test_greedy_peel_postconditions_exhaustive_small():
@@ -55,34 +55,34 @@ def test_greedy_peel_postconditions_exhaustive_small():
 
 
 def test_decompose_examples():
-    assert decompose((1, 2), 2, (1, 3)).parts == ((0, 1), (1, 2))
-    assert decompose((2, 3), 1, (1, 2)).parts == ((1, 2),)
-    result = decompose((2, 2), 2, (2, 4))
-    assert tuple(sum(c) for c in zip(*result.parts)) == (2, 4)
-    assert all(contains((2, 2), p) for p in result.parts)
+    assert decompose((1, 2), 2, (1, 3)) == ((0, 1), (1, 2))
+    assert decompose((2, 3), 1, (1, 2)) == ((1, 2),)
+    parts = decompose((2, 2), 2, (2, 4))
+    assert tuple(sum(c) for c in zip(*parts)) == (2, 4)
+    assert all(contains((2, 2), p) for p in parts)
 
 
 def test_decompose_handles_decreasing_sequences():
     s = (4, 2, 1)
     for k in (2, 3):
         for x in lattice_points(s, k):
-            result = decompose(s, k, x)
-            assert len(result.parts) == k
-            assert tuple(sum(c) for c in zip(*result.parts)) == x
-            assert all(contains(s, p) for p in result.parts)
+            parts = decompose(s, k, x)
+            assert len(parts) == k
+            assert tuple(sum(c) for c in zip(*parts)) == x
+            assert all(contains(s, p) for p in parts)
 
 
 def test_decompose_splits_non_monotone_sequences():
     # layer l clamps x_i/s_i - l + 1 to [0, 1]; the ratios x_i/s_i here are 1/2, 1, 3/2 and 4/3, 2, 5/2
-    assert decompose((2, 1, 2), 2, (1, 1, 3)).parts == ((0, 0, 1), (1, 1, 2))
-    assert decompose((3, 1, 2), 3, (4, 2, 5)).parts == ((0, 0, 1), (1, 1, 2), (3, 1, 2))
+    assert decompose((2, 1, 2), 2, (1, 1, 3)) == ((0, 0, 1), (1, 1, 2))
+    assert decompose((3, 1, 2), 3, (4, 2, 5)) == ((0, 0, 1), (1, 1, 2), (3, 1, 2))
 
 
 def test_layers_split_every_point_for_every_s():
     for s in small_sequences(3, 4):
         for k in (1, 2, 3):
             for x in lattice_points(s, k):
-                parts = decompose(s, k, x).parts
+                parts = decompose(s, k, x)
                 assert len(parts) == k
                 assert all(contains(s, p) for p in parts), (s, k, x)
                 assert tuple(sum(c) for c in zip(*parts)) == x
@@ -91,19 +91,19 @@ def test_layers_split_every_point_for_every_s():
 
 
 def test_is_idp_examples():
-    assert is_idp((1, 1, 1)).ok
-    assert is_idp((2, 3)).ok
-    assert is_idp((2, 1, 2)).ok  # composition of two IDP segments
+    assert is_idp((1, 1, 1)) == 2
+    assert is_idp((2, 3)) == 2
+    assert is_idp((2, 1, 2)) == 2  # composition of two IDP segments
 
 
 def test_is_idp_monotone_small_range():
     for s in weakly_monotone(3, 4):
-        assert is_idp(s).ok, s
+        assert is_idp(s) == max(2, len(s) - 1), s
 
 
 def test_is_idp_default_and_custom_k():
-    assert is_idp((2, 3, 4, 5)).k_checked == 3  # d - 1
-    assert is_idp((2, 3), k_max=4).k_checked == 4
+    assert is_idp((2, 3, 4, 5)) == 3  # d - 1
+    assert is_idp((2, 3), k_max=4) == 4
     with pytest.raises(PreconditionError):
         is_idp((2, 3), k_max=1)
 
@@ -230,12 +230,12 @@ def test_is_idp_budget_is_the_running_total(s, tests, walk):
     assert sum(walk_tests(s, k) for k in range(2, max(2, len(s) - 1) + 1)) == walk
     with pytest.raises(BudgetExceededError, match="IDP transfer"):
         is_idp(s, budget=tests - 1)
-    assert is_idp(s, budget=tests).ok
+    assert is_idp(s, budget=tests) == max(2, len(s) - 1)
 
 
 def test_default_budget_refuses_no_small_sequence():
     for s in product(range(1, 4), repeat=6):
-        assert is_idp(s, budget=DEFAULT_BUDGET).ok, s
+        assert is_idp(s, budget=DEFAULT_BUDGET) == 5, s
 
 
 def oracle_missing(targets, lower, ground):
@@ -483,7 +483,7 @@ def test_shared_levels_keep_the_budget_boundary(s, tests):
     with pytest.raises(BudgetExceededError) as shared:
         is_idp(s, budget=tests - 1, _levels=dict(memo))
     assert str(shared.value) == str(plain.value)
-    assert is_idp(s, budget=tests, _levels=dict(memo)).ok
+    assert is_idp(s, budget=tests, _levels=dict(memo)) == max(2, len(s) - 1)
 
 
 def memo_weight(key, entry) -> int:
