@@ -6,21 +6,16 @@ lattice points, point counts, the reversal map, the work budget), `delta`
 `classify` (Fano/reflexive/Gorenstein), `idp` (the layer split of a point
 of k*P and the IDP cross-check, which returns the largest k it checked or
 raises), `triangulate` (unimodular chimney triangulations), `intlinalg`
-(exact determinants), `freesum` (Gorenstein and IDP compositions), `cli`
-(command line and sweep store).
+(exact determinants), `freesum` (Gorenstein and IDP compositions, which
+return the composite with its index k + l or the largest k checked, or
+raise), `cli` (command line and sweep store).
 """
 
 __version__ = "0.1.0"
 
 from .classify import Classification, SequenceClass, classify, gorenstein_index, sequence_class
 from .delta import delta_vector, is_symmetric
-from .ehrhart import (
-    EhrhartData,
-    count,
-    delta_from_counts,
-    ehrhart_data,
-    ehrhart_polynomial,
-)
+from .ehrhart import EhrhartData, count, delta_from_counts, ehrhart_data
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -59,7 +54,6 @@ __all__ = [
     "delta_vector",
     "determinant",
     "ehrhart_data",
-    "ehrhart_polynomial",
     "gorenstein_compose",
     "gorenstein_index",
     "idp_compose",

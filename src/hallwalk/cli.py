@@ -109,12 +109,14 @@ def _cmd_compose(args) -> int:
     left = parse_s(args.left)
     right = parse_s(args.right)
     header = {"left": list(left), "right": list(right), "mode": args.mode}
+    # both compositions raise if their theorem fails, so what they return is proved
     if args.mode == "gorenstein":
-        result = gorenstein_compose(left, right, budget=_budget())
-        _emit({**header, **result.to_json()})
-        return EXIT_OK if result.ok else EXIT_INCONSISTENT
-    composite, k_checked = idp_compose(left, right, budget=_budget())
-    _emit({**header, "composite": list(composite), **_idp_verdict(k_checked), "ok": True})
+        composite, index = gorenstein_compose(left, right, budget=_budget())
+        proved = {"predicted_index": index, "confirmed_index": index, "delta_product_ok": True}
+    else:
+        composite, k_checked = idp_compose(left, right, budget=_budget())
+        proved = _idp_verdict(k_checked)
+    _emit({**header, "composite": list(composite), **proved, "ok": True})
     return EXIT_OK
 
 
@@ -210,6 +212,9 @@ def _replace_store(out: Path, text: str) -> None:
 def _cmd_search(args) -> int:
     out = Path(args.out)
     sequences = _sweep_sequences(args.dmax, args.smax, args.random, args.seed)
+    if args.idp_max_k is not None and args.idp_max_k < 2:
+        # `is_idp` refuses it too, but only at the first record, after the store is opened
+        raise UsageError(f"--idp-max-k must be >= 2, got {args.idp_max_k}")
     existing, witnesses = _read_store(out) if args.resume and out.exists() else ({}, 0)
     budget = _budget()
     levels: dict = {}  # the IDP transfer's levels, shared by this run's records only

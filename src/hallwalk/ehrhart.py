@@ -52,17 +52,12 @@ def delta_from_counts(counts) -> tuple[int, ...]:
     return tuple(delta)
 
 
-def ehrhart_polynomial(s, budget=None) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_d) of the degree-d counting polynomial.
-
-    Newton forward differences on the exact counts at t = 0..d; the leading
-    coefficient is the volume (prod s_i) / d!.
-    """
-    return _interpolate(dilate_counts(s, budget=budget))
-
-
 def _interpolate(counts) -> tuple[Fraction, ...]:
-    """Polynomial through (t, counts[t]) for t = 0..len(counts)-1."""
+    """Polynomial through (t, counts[t]) for t = 0..len(counts)-1, by Newton forward differences.
+
+    On the counts at t = 0..d this is the counting polynomial (c_0, ..., c_d),
+    whose leading coefficient is the volume (prod s_i) / d!.
+    """
     d = len(counts) - 1
     table = [Fraction(c) for c in counts]
     diffs = []

@@ -14,13 +14,15 @@ delta-polynomials of free sums.  IDP inheritance also needs the lattice
 points of each factor to span the lattice, which holds for every s: the
 points p_j = (0, ..., 0, 1, x_{j+1}, ..., x_d) with
 x_i = ceil(s_i x_{i-1} / s_{i-1}) lie in P^(s) and are unit triangular.
-"""
 
-from dataclasses import dataclass
+Both compositions re-verify the composite and return it with what they
+proved (the index k + l, or the largest k checked for IDP); a failed
+re-verification raises MathematicalInconsistencyError.
+"""
 
 from .classify import gorenstein_index
 from .delta import delta_vector
-from .errors import PreconditionError
+from .errors import MathematicalInconsistencyError, PreconditionError
 from .idp import is_idp
 from .polytope import check_s
 
@@ -38,29 +40,15 @@ def composite_sequence(s, t) -> tuple[int, ...]:
     return check_s(s) + (1,) + check_s(t)
 
 
-@dataclass(frozen=True)
-class GorensteinComposition:
-    composite: tuple[int, ...]
-    predicted_index: int
-    confirmed_index: int | None
-    delta_product_ok: bool
+def gorenstein_compose(s, t, budget=None) -> tuple[tuple[int, ...], int]:
+    """Compose two Gorenstein sequences into (s, 1, t) and return (composite, k + l).
 
-    @property
-    def ok(self) -> bool:
-        return self.delta_product_ok and self.confirmed_index == self.predicted_index
-
-    def to_json(self) -> dict:
-        return {
-            "composite": list(self.composite),
-            "predicted_index": self.predicted_index,
-            "confirmed_index": self.confirmed_index,
-            "delta_product_ok": self.delta_product_ok,
-            "ok": self.ok,
-        }
-
-
-def gorenstein_compose(s, t, budget=None) -> GorensteinComposition:
-    """Compose two Gorenstein sequences into (s, 1, t) with index k + l."""
+    By the free-sum product condition the composite's delta is
+    delta_s * delta_t (padded to its dimension) and its index is k + l.
+    Both are re-derived from the composite; a disagreement would be a bug,
+    not a verdict, and raises MathematicalInconsistencyError.  A factor
+    that is not Gorenstein raises PreconditionError.
+    """
     s = check_s(s)
     t = check_s(t)
     delta_s = delta_vector(s, budget=budget)
@@ -71,13 +59,19 @@ def gorenstein_compose(s, t, budget=None) -> GorensteinComposition:
         side = "left" if k is None else "right"
         raise PreconditionError(f"{side} sequence is not Gorenstein")
     composite = composite_sequence(s, t)
-    predicted = k + l
     product = poly_mul(delta_s, delta_t)
     product = product + (0,) * (len(composite) + 1 - len(product))
     delta_composite = delta_vector(composite, budget=budget)
-    delta_ok = delta_composite == product
-    confirmed = gorenstein_index(composite, budget=budget, _delta=delta_composite)
-    return GorensteinComposition(composite, predicted, confirmed, delta_ok)
+    if delta_composite != product:
+        raise MathematicalInconsistencyError(
+            f"the delta of P^{composite} is {delta_composite}, not the product {product} of its factors' deltas"
+        )
+    index = gorenstein_index(composite, budget=budget, _delta=delta_composite)
+    if index != k + l:
+        raise MathematicalInconsistencyError(
+            f"P^{composite} has Gorenstein index {index}, not {k} + {l} from its factors"
+        )
+    return composite, index
 
 
 def idp_compose(s, t, k_max=None, budget=None) -> tuple[tuple[int, ...], int]:

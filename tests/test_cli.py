@@ -72,6 +72,21 @@ def test_idp_verdicts_keep_their_bytes(capsys):
     )
 
 
+def test_gorenstein_compositions_keep_their_bytes(capsys):
+    assert run(capsys, "compose", "--left", "2,3", "--right", "2", "--mode", "gorenstein") == (
+        0,
+        '{"composite": [2, 3, 1, 2], "confirmed_index": 2, "delta_product_ok": true, "left": [2, 3], '
+        '"mode": "gorenstein", "ok": true, "predicted_index": 2, "right": [2]}\n',
+        "",
+    )
+    assert run(capsys, "compose", "--left", "1,1,1,1", "--right", "2", "--mode", "gorenstein") == (
+        0,
+        '{"composite": [1, 1, 1, 1, 1, 2], "confirmed_index": 6, "delta_product_ok": true, '
+        '"left": [1, 1, 1, 1], "mode": "gorenstein", "ok": true, "predicted_index": 6, "right": [2]}\n',
+        "",
+    )
+
+
 def test_decompose_keeps_its_bytes(capsys):
     assert run(capsys, "decompose", "2,1,2", "2", "1,1,3") == (
         0,
@@ -163,6 +178,16 @@ def test_compose_commands(capsys):
     payload = out_json(capsys, "compose", "--left", "2", "--right", "2", "--mode", "idp")
     assert payload["composite"] == [2, 1, 2]
     assert payload["verdict"] is True
+
+
+def test_compose_reports_a_failed_theorem_as_an_error(capsys, monkeypatch):
+    # the composite (2, 3, 1, 2) alone gets index 3 instead of 1 + 1
+    import hallwalk.freesum as freesum
+
+    real = freesum.gorenstein_index
+    monkeypatch.setattr(freesum, "gorenstein_index", lambda s, **kw: real(s, **kw) + (len(s) == 4))
+    code, stdout, err = run(capsys, "compose", "--left", "2,3", "--right", "2", "--mode", "gorenstein")
+    assert (code, stdout, json.loads(err)["error"]) == (1, "", "mathematical-inconsistency")
 
 
 def test_delta_keeps_trailing_zeros(capsys):
@@ -476,6 +501,7 @@ def test_search_counts_a_witness_it_writes_and_one_it_resumes(tmp_path, capsys, 
         ("--dmax", "2", "--smax", "2", "--random", "-3"),
         ("--dmax", "2", "--smax", "2", "--random", "0"),
         ("--dmax", "2", "--smax", "2", "--random", "5"),
+        ("--dmax", "2", "--smax", "2", "--idp-max-k", "1"),
     ],
 )
 def test_search_rejects_bad_ranges_before_it_opens_the_store(tmp_path, capsys, ranges):

@@ -11,7 +11,6 @@ from hallwalk.ehrhart import (
     delta_from_counts,
     dilate_counts,
     ehrhart_data,
-    ehrhart_polynomial,
     evaluate,
 )
 from hallwalk.errors import BudgetExceededError, InconsistentCountsError, PreconditionError
@@ -50,15 +49,15 @@ def test_delta_from_counts_errors():
 
 
 def test_polynomial_examples():
-    assert ehrhart_polynomial((2,)) == (Fraction(1), Fraction(2))
-    assert ehrhart_polynomial((2, 3)) == (Fraction(1), Fraction(3), Fraction(3))
-    assert ehrhart_polynomial((1, 1)) == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+    assert ehrhart_data((2,)).polynomial == (Fraction(1), Fraction(2))
+    assert ehrhart_data((2, 3)).polynomial == (Fraction(1), Fraction(3), Fraction(3))
+    assert ehrhart_data((1, 1)).polynomial == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
 
 
 def test_polynomial_out_of_sample_and_leading_coefficient():
     for s in all_sequences(3, 3):
         d = len(s)
-        poly = ehrhart_polynomial(s)
+        poly = ehrhart_data(s).polynomial
         for t in range(d + 1):
             assert evaluate(poly, t) == count(s, t)
         assert evaluate(poly, d + 1) == count(s, d + 1), s
@@ -89,7 +88,7 @@ def test_ehrhart_data_counts_each_dilate_once(monkeypatch):
     monkeypatch.setattr(ehrhart, "count", counting)
     data = ehrhart_data((2, 3), tmax=4)
     assert counted == [0, 1, 2, 3, 4]
-    assert data.polynomial == ehrhart_polynomial((2, 3))
+    assert data.polynomial == (Fraction(1), Fraction(3), Fraction(3))
 
 
 def test_budget_refusal():

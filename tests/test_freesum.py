@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
+import hallwalk.freesum as freesum
 from hallwalk.classify import gorenstein_index
 from hallwalk.delta import delta_vector, degree, is_symmetric
-from hallwalk.errors import BudgetExceededError, PreconditionError
+from hallwalk.errors import BudgetExceededError, MathematicalInconsistencyError, PreconditionError
 from hallwalk.freesum import composite_sequence, gorenstein_compose, idp_compose, poly_mul
 from hallwalk.idp import is_idp
 from hallwalk.intlinalg import determinant
@@ -62,29 +63,34 @@ def test_delta_of_composite_is_product():
 
 
 def test_gorenstein_compose_examples():
-    result = gorenstein_compose((2,), (2,))
-    assert result.composite == (2, 1, 2)
-    assert result.predicted_index == 2
+    assert gorenstein_compose((2,), (2,)) == ((2, 1, 2), 2)
     assert delta_vector((2, 1, 2)) == (1, 2, 1, 0)
-    assert result.ok
 
-    result = gorenstein_compose((2, 3), (2,))
-    assert result.composite == (2, 3, 1, 2)
-    assert result.predicted_index == 2
+    assert gorenstein_compose((2, 3), (2,)) == ((2, 3, 1, 2), 2)
     assert delta_vector((2, 3, 1, 2)) == (1, 5, 5, 1, 0)
-    assert result.ok
 
-    result = gorenstein_compose((1,), (1,))
-    assert result.composite == (1, 1, 1)
-    assert result.predicted_index == 4
-    assert result.confirmed_index == 4
-    assert result.ok
+    assert gorenstein_compose((1,), (1,)) == ((1, 1, 1), 4)
 
 
 def test_gorenstein_compose_computes_each_delta_once(delta_calls):
-    result = gorenstein_compose((2, 3, 4), (3, 3, 4))
-    assert (result.ok, result.predicted_index) == (True, 2)
+    assert gorenstein_compose((2, 3, 4), (3, 3, 4)) == ((2, 3, 4, 1, 3, 3, 4), 2)
     assert delta_calls == [(2, 3, 4), (3, 3, 4), (2, 3, 4, 1, 3, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "name, broken, refusal",
+    [
+        # only the composite (2, 3, 1, 2) has dimension 4; its index becomes 3
+        ("gorenstein_index", lambda real: lambda s, **kw: real(s, **kw) + (len(s) == 4), r"index 3, not 1 \+ 1"),
+        # the one product taken is the factors' delta product (1, 5, 5, 1)
+        ("poly_mul", lambda real: lambda a, b: (2,) + real(a, b)[1:], "not the product"),
+    ],
+    ids=["index", "delta-product"],
+)
+def test_gorenstein_compose_raises_when_the_theorem_fails(monkeypatch, name, broken, refusal):
+    monkeypatch.setattr(freesum, name, broken(getattr(freesum, name)))
+    with pytest.raises(MathematicalInconsistencyError, match=refusal):
+        gorenstein_compose((2, 3), (2,))
 
 
 def test_gorenstein_compose_requires_gorenstein_inputs():
@@ -99,11 +105,11 @@ def test_gorenstein_compose_index_and_symmetry():
         l = gorenstein_index(t)
         if k is None or l is None:
             continue
-        result = gorenstein_compose(s, t)
-        assert result.ok
-        dv = delta_vector(result.composite)
-        dim = len(result.composite)
-        assert is_symmetric(dv) and degree(dv) == dim - result.predicted_index + 1
+        composite, index = gorenstein_compose(s, t)
+        assert index == k + l
+        dv = delta_vector(composite)
+        dim = len(composite)
+        assert is_symmetric(dv) and degree(dv) == dim - index + 1
 
 
 def test_idp_compose_examples():
