@@ -28,21 +28,13 @@ from math import gcd
 
 from . import delta as deltas
 from .errors import MathematicalInconsistencyError, UnsupportedSequenceError
-from .polytope import check_s, reflect, reverse
+from .polytope import _reflect, check_s
 
 STRICTLY_INCREASING = "strictly-increasing"
 CONSTANT_THEN_STRICT = "constant-then-strict"
 INCREMENT_AT_MOST_ONE = "increment-at-most-one"
 WEAKLY_MONOTONE = "weakly-monotone"
 GENERAL = "general"
-
-_SPECIFICITY = (
-    STRICTLY_INCREASING,
-    CONSTANT_THEN_STRICT,
-    INCREMENT_AT_MOST_ONE,
-    WEAKLY_MONOTONE,
-    GENERAL,
-)
 
 
 @dataclass(frozen=True)
@@ -59,44 +51,35 @@ def _constant_run(seq) -> int:
     return i
 
 
-def _is_strictly_increasing(seq) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
-
-
-def _is_constant_then_strict(seq) -> bool:
-    run = _constant_run(seq)
-    return all(a < b for a, b in zip(seq[run - 1 :], seq[run:]))
-
-
-def _is_increment_at_most_one(seq) -> bool:
-    return all(0 <= b - a <= 1 for a, b in zip(seq, seq[1:]))
-
-
-_CLASS_TESTS = (
-    (STRICTLY_INCREASING, _is_strictly_increasing),
-    (CONSTANT_THEN_STRICT, _is_constant_then_strict),
-    (INCREMENT_AT_MOST_ONE, _is_increment_at_most_one),
-)
-
-
 def sequence_class(s) -> SequenceClass:
-    """All applicable class tags for s and reverse(s); most specific first."""
+    """All applicable class tags for s and reverse(s); most specific first.
+
+    One pass over s takes its steps s_{i+1} - s_i.  With no negative step
+    (up), s is strictly increasing when no step is 0, constant then strict
+    when its 0 steps come first, and increments by at most one when no step
+    passes 1.  reverse(s) has the negated steps in reverse order, so it is
+    tested with no positive step, 0 steps last and none below -1 (down),
+    and only when it differs from s, that is when s is not constant.
+    """
     seq = check_s(s)
-    rev = reverse(seq)
-    tags: list[tuple[str, bool]] = []
-    for name, test in _CLASS_TESTS:
-        if test(seq):
-            tags.append((name, False))
-        if rev != seq and test(rev):
-            tags.append((name, True))
-    increasing = all(a <= b for a, b in zip(seq, seq[1:]))
-    decreasing = all(a >= b for a, b in zip(seq, seq[1:]))
-    if increasing or decreasing:
-        tags.append((WEAKLY_MONOTONE, False))
-    if not tags:
-        tags.append((GENERAL, False))
-    tags.sort(key=lambda tr: (_SPECIFICITY.index(tr[0]), tr[1]))
-    return SequenceClass(tags[0][0], tags[0][1], tuple(tags))
+    steps = [b - a for a, b in zip(seq, seq[1:])]
+    low, high, flat = min(steps, default=0), max(steps, default=0), steps.count(0)
+    up, down = low >= 0, high <= 0 and flat < len(steps)
+    tags = tuple(
+        (name, back)
+        for name, back, fit in (
+            (STRICTLY_INCREASING, False, up and not flat),
+            (STRICTLY_INCREASING, True, down and not flat),
+            (CONSTANT_THEN_STRICT, False, up and not any(steps[:flat])),
+            (CONSTANT_THEN_STRICT, True, down and not any(steps[len(steps) - flat :])),
+            (INCREMENT_AT_MOST_ONE, False, up and high <= 1),
+            (INCREMENT_AT_MOST_ONE, True, down and low >= -1),
+            (WEAKLY_MONOTONE, False, up or high <= 0),
+            (GENERAL, False, not (up or high <= 0)),
+        )
+        if fit
+    )
+    return SequenceClass(*tags[0], tags)
 
 
 def _fano_condition(name: str, seq) -> bool:
@@ -184,11 +167,11 @@ def _theorem_verdict(name: str, rev: bool, seq):
 
     Reflexive means divisible for a Fano polytope; any other is not reflexive.
     """
-    oriented = reverse(seq) if rev else seq
+    oriented = seq[::-1] if rev else seq
     if not _fano_condition(name, oriented):
         return False, None, False
     p = _interior_point_formula(name, oriented)
-    return True, reflect(oriented, p) if rev else p, _divisibility_condition(name, oriented)
+    return True, _reflect(oriented, p) if rev else p, _divisibility_condition(name, oriented)
 
 
 def _interior_chain(seq):
@@ -218,7 +201,6 @@ def classify(s, budget=None, _delta=None) -> Classification:
     cls = sequence_class(seq)
     dv = deltas.delta_vector(seq, budget=budget) if _delta is None else _delta
     fano_delta = dv[d] == 1
-    reflexive_delta = deltas.is_symmetric(dv) and deltas.degree(dv) == d
 
     least, greatest = _interior_chain(seq)
     interior_point = least if least == greatest else None
@@ -227,6 +209,9 @@ def classify(s, budget=None, _delta=None) -> Classification:
             f"delta_d = {dv[d]} but the interior points of s={seq} run from "
             f"{least} to {greatest}"
         )
+    # the delta route of the index is d - m + 1 for delta symmetric of degree m, so 1 iff reflexive
+    index = gorenstein_index(seq, budget=budget, _delta=dv)
+    reflexive_delta = index == 1
 
     orientations = _theorem_orientations(cls)
     verdicts = {(name, rev): _theorem_verdict(name, rev, seq) for name, rev in orientations}
@@ -247,8 +232,6 @@ def classify(s, budget=None, _delta=None) -> Classification:
             )
         if not fano_theorem:
             reflexive_reason = "not Fano"
-
-    index = gorenstein_index(seq, budget=budget, _delta=dv)
 
     return Classification(
         s=seq,

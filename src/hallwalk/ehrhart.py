@@ -107,8 +107,10 @@ def ehrhart_data(s, tmax=None, budget=None) -> EhrhartData:
     """Full oracle bundle; extra counts beyond t = d must match the polynomial."""
     seq = check_s(s)
     d = len(seq)
-    top = d if tmax is None else max(int(tmax), d)
-    counts = dilate_counts(seq, tmax=top, budget=budget)
+    top = d if tmax is None else int(tmax)
+    if top < 0:
+        raise ValueError("tmax must be >= 0")
+    counts = dilate_counts(seq, tmax=max(top, d), budget=budget)
     poly = _interpolate(counts[: d + 1])
     for t in range(d + 1, top + 1):
         value = evaluate(poly, t)

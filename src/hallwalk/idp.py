@@ -24,13 +24,16 @@ exist, so a witness is an inconsistency: `is_idp` returns the largest k it
 checked, or raises.  What a state of that pass hands down depends only on
 (s_i, s_{i+1}, k) and the state, and a level only on the suffix
 (s_i, ..., s_d) and k, so a sweep may share both between its sequences
-(`_levels`); each is still charged as if it were built.
+(`_levels`), and a state of the second coordinate under which every z_1
+splits does so for every s that shares (s_1, s_2, k).  Each is still
+charged as if it were built.
 """
 
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import MathematicalInconsistencyError, PreconditionError
-from .polytope import _chain, check_budget, check_s, contains, count
+from .polytope import _chain, _charge_count, check_budget, check_s, contains
 
 
 def _layer(seq, point, level: int) -> tuple[int, ...]:
@@ -136,7 +139,8 @@ def _keep(levels: dict, key, entry, weight: int, budget) -> None:
     """Store entry in the memo `levels`, first emptying it if the weight it holds would pass budget.
 
     `levels["held"]` is the weight of the stored entries: a level's test
-    charge, or a window list's number of candidates.
+    charge, a window list's number of candidates, a state's number of masks,
+    or a set's number of good states.
     """
     held = levels.get("held", 0) + weight
     if budget is not None and held > budget:
@@ -156,23 +160,25 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     level's tests join the running total `spent`, charged to `budget`,
     before the level builds anything (with d = 1, one test per target).
     Each test is charged by the width of its masks (`_tests`).  The first
-    coordinate's states are not kept: a state with an empty mask is a
-    target with no split, and only then does a pass back up name the least
-    one.  Returns (z or None, spent).
+    coordinate's states are not kept: a state of level 1 whose masks include
+    an empty one leaves a target with no split, and only then does a pass
+    back up name the least one.  Returns (z or None, spent).
 
     `_levels`, a dict the caller creates empty, shares work between calls.
     The masks a state (z_{i+1}, mask) of level i hands down depend only on
     (s_i, s_{i+1}, k, z_{i+1}, mask), so each state is solved once, at every
     level; the windows of (s_i, s_{i+1}, k) are stored with the prefix sums
     of their tests over z_i, and a level i >= 1 with its states and tests,
-    since it depends only on (s_i, ..., s_d) and k.  A stored level is
-    charged its tests as if it were built, and a level whose windows are
-    stored is charged from their prefix sums; one that would pass the
-    budget has its tests run again by `_tests`, so that the refusal names
-    the same partial total: every (z, spent) and every refusal is the same
-    with or without the memo.  The memo's weight, its levels' tests, its
-    windows' candidates and its states' masks, never passes `budget`: it
-    is emptied before an entry would pass it.
+    since it depends only on (s_i, ..., s_d) and k; per (s_1, s_2, k), the
+    good states of level 1, whose masks are all nonempty, so that the first
+    coordinate of a record whose states are all good costs one set test.
+    A stored level is charged its tests as if it were built, and a level
+    whose windows are stored is charged from their prefix sums; one that
+    would pass the budget has its tests run again by `_tests`, so that the
+    refusal names the same partial total: every (z, spent) and every
+    refusal is the same with or without the memo.  The memo's weight (its
+    levels' tests, windows' candidates, states' masks and good states)
+    never passes `budget`: it is emptied before an entry would pass it.
     """
     seq = check_s(s)
     d = len(seq)
@@ -188,7 +194,7 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
 
     def z_ups(i: int):
         """z_{i+1} once per state that level i + 1 hands down."""
-        return range(k * seq[-1] + 1) if i == d - 2 else (z for z, _ in states[i + 1])
+        return range(k * seq[-1] + 1) if i == d - 2 else map(itemgetter(0), states[i + 1])
 
     def charged(i: int, tests=None) -> int:
         """spent plus the tests of level i.
@@ -199,7 +205,8 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
         """
         if tests is None and shared and (table := _levels.get((seq[i], seq[i + 1], k))) is not None:
             windows[i], prefix = table
-            tests = sum(prefix[seq[i] * z_up // seq[i + 1] + 1] for z_up in z_ups(i))
+            low, high = seq[i], seq[i + 1]
+            tests = sum([prefix[low * z_up // high + 1] for z_up in z_ups(i)])
         if tests is not None and (budget is None or spent + tests <= budget):
             return spent + tests
         return _tests(seq, k, i, sorted(z_ups(i)), budget, spent, what)
@@ -255,11 +262,22 @@ def least_undecomposable(s, k: int, budget=None, spent: int = 0, _levels=None):
     else:
         spent = charged(0)
         empty = set()
-        level_windows, solve = windows_of(0), solver(0)
-        for z_up, reach_up in handed(1):
-            masks = solve(level_windows, z_up, reach_up, seq[0] * z_up // seq[1])
-            if not all(masks):
-                empty.update(z for z, reach in enumerate(masks) if not reach)
+        key = (seq[0], seq[1], k, "good")
+        good = _levels.get(key, set()) if shared else set()
+        if not good.issuperset(handed(1)):
+            fresh = set()
+            level_windows, solve = windows_of(0), solver(0)
+            for state in handed(1):
+                if state not in good:
+                    masks = solve(level_windows, *state, seq[0] * state[0] // seq[1])
+                    if not all(masks):
+                        empty.update(z for z, reach in enumerate(masks) if not reach)
+                    elif shared:
+                        fresh.add(state)
+            if fresh:  # stored again whole, at its whole weight: the memo may have been emptied meanwhile
+                good = _levels.pop(key, set())
+                _levels["held"] = _levels.get("held", 0) - len(good)
+                _keep(_levels, key, good | fresh, len(good) + len(fresh), budget)
     if not empty:
         return None, spent
     # least[state]: the least missing prefix (z_0, ..., z_i) below a state at z_{i+1}, if it has one
@@ -280,9 +298,10 @@ def is_idp(s, k_max=None, budget=None, _levels=None) -> int:
     """Check kP cap Z^d == ((k-1)P cap Z^d) + (P cap Z^d) for k = 2..K (default K = max(2, d-1)); return K.
 
     The layer split proves the identity for every s and k; the transfer
-    re-derives it independently.  One budget covers the call: `count` of
-    K*P, then the tests of `least_undecomposable` at every k as one running
-    total, charged a level at a time before the level builds anything.
+    re-derives it independently.  One budget covers the call: the cells that
+    `count` of K*P would fill, charged without counting, then the tests of
+    `least_undecomposable` at every k as one running total, charged a level
+    at a time before the level builds anything.
     `_levels` is the transfer's memo, which `search` shares between the
     records of one run; it changes no result, charge or refusal.
     Generators of the cone over a d-polytope live in degrees <= d-1, so a
@@ -294,7 +313,7 @@ def is_idp(s, k_max=None, budget=None, _levels=None) -> int:
     top = max(2, len(seq) - 1) if k_max is None else int(k_max)
     if top < 2:
         raise PreconditionError(f"k_max must be >= 2, got {k_max}")
-    count(seq, top, budget=budget)
+    _charge_count(seq, top, budget)
     spent = 0
     for k in range(2, top + 1):
         witness, spent = least_undecomposable(seq, k, budget, spent, _levels=_levels)

@@ -8,9 +8,9 @@ cut out by d+1 facet rows: -x_1 <= 0, then s_{i+1} x_i - s_i x_{i+1} <= 0
 for each adjacent pair, then x_d <= s_d (t*s_d for the dilate t*P^(s)).
 Points are stored in ascending index order (x_1, ..., x_d) everywhere;
 vertex matrices displayed elsewhere with x_d on top are re-indexed at the
-boundary.  All arithmetic is exact.  `contains` and `reflect` check s, then
-call `_chain` (the one evaluator of the facet rows) and `_reflect`, which
-callers with many points of one checked s call directly.
+boundary.  All arithmetic is exact.  `contains` checks s, then calls
+`_chain`, the one evaluator of the facet rows, which callers with many
+points of one checked s call directly, as they call `_reflect`.
 """
 
 from itertools import accumulate, repeat
@@ -81,20 +81,24 @@ def check_budget(cost: int, budget, what: str) -> None:
         raise BudgetExceededError(f"{what} takes {cost} steps, over budget {budget}")
 
 
+def _charge_count(seq, t: int, budget) -> None:
+    """Refuse `count(seq, t)` over budget, t >= 1: t*s_i + 1 cells per level, and per prefix array but the last."""
+    check_budget(t * (2 * sum(seq) - seq[-1]) + 2 * len(seq) - 1, budget, f"counting the points of {t}*P^{seq}")
+
+
 def count(s, t: int, budget=None) -> int:
     """Number of lattice points of t*P^(s); 1 for t = 0.
 
     Computed level by level with prefix sums over the chain bounds, which
     agrees with len(lattice_points(s, t)) but never materializes points.
-    Charges its cells: t*s_i + 1 per level, and per prefix array but the last.
+    Charged by `_charge_count` before anything is allocated.
     """
     seq = check_s(s)
     if t < 0:
         raise ValueError(f"dilation factor must be >= 0, got {t}")
     if t == 0:
         return 1
-    cells = 2 * sum(t * v + 1 for v in seq) - t * seq[-1] - 1
-    check_budget(cells, budget, f"counting the points of {t}*P^{seq}")
+    _charge_count(seq, t, budget)
     # counts[v] = number of admissible prefixes (x_1, ..., x_i) with x_i = v
     counts = [1] * (t * seq[0] + 1)
     for a, b in zip(seq, seq[1:]):
@@ -136,19 +140,11 @@ def lattice_points(s, t: int = 1, budget=None) -> list[tuple[int, ...]]:
     return out
 
 
-def reflect(s, point, t: int = 1) -> tuple:
-    """Map a point of t*P^(s) to t*P^(reverse(s)) via y_i = t*s_{d+1-i} - x_{d+1-i}.
+def _reflect(seq, point, t: int = 1) -> tuple:
+    """Map a point of t*P^(seq) to t*P^(reverse(seq)) via y_i = t*s_{d+1-i} - x_{d+1-i}, for a checked seq.
 
     This is the standard affine unimodular equivalence between a lecture
     hall polytope and its reversed-sequence twin; it is an involution when
     composed with itself across the two sequences.
     """
-    seq = check_s(s)
-    if len(point) != len(seq):
-        raise DimensionError(f"point has length {len(point)}, expected {len(seq)}")
-    return _reflect(seq, point, t)
-
-
-def _reflect(seq, point, t: int = 1) -> tuple:
-    """The reversal map of `reflect`, for a checked seq and a point of its length."""
     return tuple(t * v - x for v, x in zip(reversed(seq), reversed(point)))

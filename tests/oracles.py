@@ -4,9 +4,10 @@ Production never calls these: the ascent statistic of one inversion
 sequence, unimodality of a delta-vector, the determinant test of one
 simplex, the paper's greedy peel of a point of k*P (its closed form, not
 the layer split), the free-sum split of P^((s,t)) checked point by point,
-the vertices and the half-space rows of P^(s) and of its dilates, and the
-reflexive test on the rows translated to the interior point (the dual is
-a lattice polytope), which production decides by the facet index.
+the vertices and the half-space rows of P^(s) and of its dilates, the
+reversal map with its checks, and the reflexive test on the rows
+translated to the interior point (the dual is a lattice polytope), which
+production decides by the facet index.
 Tests import them with `from oracles import ...`.
 """
 
@@ -29,7 +30,7 @@ from hallwalk.errors import (
     UnsupportedSequenceError,
 )
 from hallwalk.intlinalg import determinant, edge_matrix
-from hallwalk.polytope import check_budget, check_s, lattice_points, reverse
+from hallwalk.polytope import _reflect, check_budget, check_s, lattice_points, reverse
 
 
 def ascent_count(e, s) -> int:
@@ -237,3 +238,11 @@ def dual_is_lattice(halfspaces) -> bool:
         if any(c % row.b for c in row.a):
             return False
     return True
+
+
+def reflect(s, point, t: int = 1) -> tuple:
+    """`polytope._reflect` behind the checks of s and of the point's length."""
+    seq = check_s(s)
+    if len(point) != len(seq):
+        raise DimensionError(f"point has length {len(point)}, expected {len(seq)}")
+    return _reflect(seq, point, t)

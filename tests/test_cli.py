@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -105,6 +106,17 @@ def test_search_store_keeps_its_idp_fields(tmp_path, capsys):
     assert fields == [
         (s, ['"idp_verdict": true', '"k_checked": 2']) for s in ([1], [2], [1, 1], [1, 2], [2, 1], [2, 2])
     ]
+
+
+def test_search_store_keeps_its_bytes(tmp_path, capsys):
+    # every record of an exhaustive d <= 4, s_i <= 5 sweep, timestamps removed, and the summary
+    out = tmp_path / "store.jsonl"
+    code, stdout, _ = run(capsys, "search", "--dmax", "4", "--smax", "5", "--out", str(out))
+    summary = json.loads(stdout)
+    summary.pop("out")
+    assert (code, summary) == (0, {"new_records": 780, "records": 780, "witnesses": 0})
+    digest = hashlib.sha256(strip_timestamps(out).encode()).hexdigest()
+    assert digest == "fac7c21b7bbe4375cafac59b3e1e62ca77b5f35a597f09dac66f40889059bdfe"
 
 
 def test_decompose_command(capsys):
@@ -366,6 +378,19 @@ def test_idp_budget_covers_every_dilate_at_once(capsys, monkeypatch, budget, arg
     assert json.loads(err)["message"].startswith(refusal)
 
 
+@pytest.mark.parametrize("s, k", [((7,), 9), ((2, 3), 4), ((3, 1, 2), 3), ((2, 4, 3, 3), 3), ((1, 1, 1, 1), 5)])
+def test_idp_charges_the_count_of_its_largest_dilate(s, k):
+    # the prefix sums of `count(s, k)`: k*s_i + 1 cells per level, and per prefix array but the last
+    cells = 2 * sum(k * v + 1 for v in s) - k * s[-1] - 1
+    with pytest.raises(BudgetExceededError) as refused:
+        hallwalk.is_idp(s, k_max=k, budget=cells - 1)
+    assert str(refused.value) == f"counting the points of {k}*P^{s} takes {cells} steps, over budget {cells - 1}"
+    try:
+        assert hallwalk.is_idp(s, k_max=k, budget=cells) == k
+    except BudgetExceededError as exc:
+        assert str(exc).startswith("the IDP transfer"), exc
+
+
 @pytest.mark.parametrize("s", ["8,7,6,5,4,3,2", "2,3,4,5,6,7,8"])
 def test_idp_default_budget_admits_d_7(capsys, monkeypatch, s):
     # the walk over all targets made more tests than the budget at k = 6
@@ -381,6 +406,13 @@ def test_idp_default_budget_admits_a_cheap_sumset(capsys, monkeypatch):
     code, out, _ = run(capsys, "idp", "2,3,3,3,3,3")
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_ehrhart_refuses_a_negative_tmax(capsys):
+    code, out, err = run(capsys, "ehrhart", "2,3", "--tmax", "-5")
+    assert (code, out, json.loads(err)["error"]) == (2, "", "usage")
+    # a tmax below d still gives the counts up to t = d
+    assert out_json(capsys, "ehrhart", "2,3", "--tmax", "0")["counts"] == [1, 7, 19]
 
 
 def test_ehrhart_default_budget_admits_a_cheap_count(capsys, monkeypatch):

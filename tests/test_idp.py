@@ -488,13 +488,17 @@ def test_shared_levels_keep_the_budget_boundary(s, tests):
 
 def memo_weight(key, entry) -> int:
     """What a memo entry weighs, read off its shape: a level (suffix, k) its tests, the windows of
-    (s_i, s_{i+1}, k) their candidates, and a state (s_i, s_{i+1}, k, z_{i+1}, mask) its masks."""
+    (s_i, s_{i+1}, k) their candidates, the good states (s_1, s_2, k, "good") one each, and a state
+    (s_i, s_{i+1}, k, z_{i+1}, mask) its masks."""
     if len(key) == 2:
         return entry[1]
     if len(key) == 3:
         windows, prefix = entry
         assert len(prefix) == len(windows) + 1
         return sum(map(len, windows))
+    if len(key) == 4:
+        assert key[3] == "good" and isinstance(entry, set)
+        return len(entry)
     assert len(key) == 5
     return len(entry)
 
@@ -513,6 +517,16 @@ def test_shared_levels_hold_at_most_the_budget():
         assert memo.get("held", 0) == sum(weights) <= 500
         emptied += memo.get("held", 0) < held
     assert emptied > 10
+
+
+def test_sweep_solves_each_state_at_most_once(masks_calls):
+    # the bench's `sweep`: every s with d = 4 and s_i <= 6, shuffled by seed 1, with one memo
+    seqs = list(product(range(1, 7), repeat=4))
+    random.Random(1).shuffle(seqs)
+    memo = {}
+    for s in seqs:
+        assert is_idp(s, budget=DEFAULT_BUDGET, _levels=memo) == 3
+    assert 0 < len(masks_calls) <= 1578
 
 
 def peak_bytes(work):

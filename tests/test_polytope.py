@@ -10,10 +10,9 @@ from hallwalk.polytope import (
     contains,
     lattice_points,
     parse_s,
-    reflect,
     reverse,
 )
-from oracles import HalfSpace, dilate, hrep, vertices
+from oracles import HalfSpace, dilate, hrep, reflect, vertices
 
 
 def all_sequences(dmax, smax):

@@ -7,14 +7,14 @@ import pytest
 from hallwalk import polytope, triangulate
 from hallwalk.errors import UnsupportedSequenceError
 from hallwalk.intlinalg import determinant, edge_matrix
-from hallwalk.polytope import check_s, contains, reflect, reverse
+from hallwalk.polytope import check_s, contains, reverse
 from hallwalk.triangulate import (
     Triangulation,
     VerificationReport,
     chimney_triangulation,
     verify_triangulation,
 )
-from oracles import simplex_is_unimodular
+from oracles import reflect, simplex_is_unimodular
 from test_acceptance import ratio_sequences
 
 
