@@ -2,8 +2,9 @@
 
 Library layers: `polytope` (membership and tight facets along the chain,
 lattice points, point counts, the reversal map, the work budget), `delta`
-(ascent-statistic delta-vectors), `ehrhart` (independent counting oracle),
-`classify` (Fano/reflexive/Gorenstein), `idp` (the layer split of a point
+(ascent-statistic delta-vectors), `ehrhart` (independent counting oracle)
+and `classify` (Fano/reflexive/Gorenstein), whose results are the dicts
+that their commands print, `idp` (the layer split of a point
 of k*P and the IDP cross-check, which returns the largest k it checked or
 raises), `triangulate` (unimodular chimney triangulations), `intlinalg`
 (exact determinants), `freesum` (Gorenstein and IDP compositions, which
@@ -13,9 +14,9 @@ raise), `cli` (command line and sweep store).
 
 __version__ = "0.1.0"
 
-from .classify import Classification, SequenceClass, classify, gorenstein_index, sequence_class
+from .classify import classify, gorenstein_index, sequence_class
 from .delta import delta_vector, is_symmetric
-from .ehrhart import EhrhartData, count, delta_from_counts, ehrhart_data
+from .ehrhart import count, delta_from_counts, ehrhart_data
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -33,15 +34,12 @@ from .triangulate import Triangulation, chimney_triangulation, verify_triangulat
 
 __all__ = [
     "BudgetExceededError",
-    "Classification",
     "DEFAULT_BUDGET",
     "DimensionError",
-    "EhrhartData",
     "HallwalkError",
     "InconsistentCountsError",
     "MathematicalInconsistencyError",
     "PreconditionError",
-    "SequenceClass",
     "Triangulation",
     "UnsupportedSequenceError",
     "check_s",

@@ -23,7 +23,6 @@ it off the chain of facet rows in O(d) integer steps, and the delta route
 reads it off the symmetry of the delta-vector.  No dilate is enumerated.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import delta as deltas
@@ -37,13 +36,6 @@ WEAKLY_MONOTONE = "weakly-monotone"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class SequenceClass:
-    tag: str
-    reversed: bool
-    all_tags: tuple[tuple[str, bool], ...]
-
-
 def _constant_run(seq) -> int:
     i = 1
     while i < len(seq) and seq[i] == seq[0]:
@@ -51,8 +43,8 @@ def _constant_run(seq) -> int:
     return i
 
 
-def sequence_class(s) -> SequenceClass:
-    """All applicable class tags for s and reverse(s); most specific first.
+def sequence_class(s) -> tuple[tuple[str, bool], ...]:
+    """All applicable (class tag, reversed) pairs for s and reverse(s); most specific first.
 
     One pass over s takes its steps s_{i+1} - s_i.  With no negative step
     (up), s is strictly increasing when no step is 0, constant then strict
@@ -65,7 +57,7 @@ def sequence_class(s) -> SequenceClass:
     steps = [b - a for a, b in zip(seq, seq[1:])]
     low, high, flat = min(steps, default=0), max(steps, default=0), steps.count(0)
     up, down = low >= 0, high <= 0 and flat < len(steps)
-    tags = tuple(
+    return tuple(
         (name, back)
         for name, back, fit in (
             (STRICTLY_INCREASING, False, up and not flat),
@@ -79,7 +71,6 @@ def sequence_class(s) -> SequenceClass:
         )
         if fit
     )
-    return SequenceClass(*tags[0], tags)
 
 
 def _fano_condition(name: str, seq) -> bool:
@@ -126,38 +117,10 @@ def _divisibility_condition(name: str, seq) -> bool:
     raise UnsupportedSequenceError(f"no reflexivity characterization for class {name}")
 
 
-@dataclass(frozen=True)
-class Classification:
-    s: tuple[int, ...]
-    sequence_class: SequenceClass
-    fano_theorem: bool | None
-    fano_delta: bool
-    interior_point: tuple[int, ...] | None
-    reflexive_theorem: bool | None
-    reflexive_reason: str | None
-    reflexive_delta: bool
-    gorenstein_index: int | None
-    delta: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "s": list(self.s),
-            "class": self.sequence_class.tag,
-            "class_reversed": self.sequence_class.reversed,
-            "fano_theorem": self.fano_theorem,
-            "fano_delta": self.fano_delta,
-            "interior_point": None if self.interior_point is None else list(self.interior_point),
-            "reflexive_theorem": self.reflexive_theorem,
-            "reflexive_reason": self.reflexive_reason,
-            "reflexive_delta": self.reflexive_delta,
-            "gorenstein_index": self.gorenstein_index,
-        }
-
-
-def _theorem_orientations(cls: SequenceClass):
+def _theorem_orientations(tags):
     return [
         (name, rev)
-        for name, rev in cls.all_tags
+        for name, rev in tags
         if name in (STRICTLY_INCREASING, CONSTANT_THEN_STRICT, INCREMENT_AT_MOST_ONE)
     ]
 
@@ -194,11 +157,11 @@ def _interior_chain(seq):
     return tuple(least), tuple(greatest[::-1])
 
 
-def classify(s, budget=None, _delta=None) -> Classification:
-    """Full classification with theorem/delta cross-validation."""
+def classify(s, budget=None, _delta=None) -> dict:
+    """Full classification with theorem/delta cross-validation, as the JSON object `classify` prints."""
     seq = check_s(s)
     d = len(seq)
-    cls = sequence_class(seq)
+    tags = sequence_class(seq)
     dv = deltas.delta_vector(seq, budget=budget) if _delta is None else _delta
     fano_delta = dv[d] == 1
 
@@ -213,7 +176,7 @@ def classify(s, budget=None, _delta=None) -> Classification:
     index = gorenstein_index(seq, budget=budget, _delta=dv)
     reflexive_delta = index == 1
 
-    orientations = _theorem_orientations(cls)
+    orientations = _theorem_orientations(tags)
     verdicts = {(name, rev): _theorem_verdict(name, rev, seq) for name, rev in orientations}
     fano_theorem: bool | None = None
     reflexive_theorem: bool | None = None
@@ -233,18 +196,18 @@ def classify(s, budget=None, _delta=None) -> Classification:
         if not fano_theorem:
             reflexive_reason = "not Fano"
 
-    return Classification(
-        s=seq,
-        sequence_class=cls,
-        fano_theorem=fano_theorem,
-        fano_delta=fano_delta,
-        interior_point=interior_point,
-        reflexive_theorem=reflexive_theorem,
-        reflexive_reason=reflexive_reason,
-        reflexive_delta=reflexive_delta,
-        gorenstein_index=index,
-        delta=dv,
-    )
+    return {
+        "s": seq,
+        "class": tags[0][0],
+        "class_reversed": tags[0][1],
+        "fano_theorem": fano_theorem,
+        "fano_delta": fano_delta,
+        "interior_point": interior_point,
+        "reflexive_theorem": reflexive_theorem,
+        "reflexive_reason": reflexive_reason,
+        "reflexive_delta": reflexive_delta,
+        "gorenstein_index": index,
+    }
 
 
 def gorenstein_index(s, budget=None, _delta=None) -> int | None:

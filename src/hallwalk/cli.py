@@ -64,14 +64,13 @@ def _cmd_delta(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     s = parse_s(args.s)
-    data = ehrhart_data(s, tmax=args.tmax, budget=_budget())
-    _emit(data.to_json())
+    _emit(ehrhart_data(s, tmax=args.tmax, budget=_budget()))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     s = parse_s(args.s)
-    _emit(classify(s, budget=_budget()).to_json())
+    _emit(classify(s, budget=_budget()))
     return EXIT_OK
 
 
@@ -129,7 +128,7 @@ def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
     try:
         dv = delta_vector(s, budget=budget)
         record["delta"] = list(dv)
-        record["classification"] = classify(s, budget=budget, _delta=dv).to_json()
+        record["classification"] = classify(s, budget=budget, _delta=dv)
         record["k_checked"] = is_idp(s, k_max=k_max, budget=budget, _levels=_levels)
         record["idp_verdict"] = True  # `is_idp` raises on a witness
     except MathematicalInconsistencyError as exc:

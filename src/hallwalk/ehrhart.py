@@ -8,20 +8,21 @@ This module never looks at inversion sequences, so it cross-checks the
 ascent route in `delta`.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import InconsistentCountsError, PreconditionError
-from .polytope import check_s, count
+from .polytope import _count_cells, check_budget, check_s, count
 
 
 def dilate_counts(s, tmax=None, budget=None) -> list[int]:
-    """[i(P, 0), i(P, 1), ..., i(P, tmax)]; tmax defaults to d."""
+    """[i(P, 0), i(P, 1), ..., i(P, tmax)]; tmax defaults to d.  Charged once, up front, for every dilate."""
     seq = check_s(s)
     top = len(seq) if tmax is None else int(tmax)
     if top < 0:
         raise ValueError("tmax must be >= 0")
+    cells = _count_cells(seq, top * (top + 1) // 2, top)
+    check_budget(cells, budget, f"counting the points of t*P^{seq} for t = 1..{top}")
     return [count(seq, t, budget=budget) for t in range(top + 1)]
 
 
@@ -85,26 +86,9 @@ def evaluate(coeffs, t) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class EhrhartData:
-    """Counts at t = 0..tmax, interpolated polynomial, and delta-vector."""
-
-    s: tuple[int, ...]
-    counts: tuple[int, ...]
-    polynomial: tuple[Fraction, ...]
-    delta: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "s": list(self.s),
-            "counts": list(self.counts),
-            "polynomial": [[c.numerator, c.denominator] for c in self.polynomial],
-            "delta": list(self.delta),
-        }
-
-
-def ehrhart_data(s, tmax=None, budget=None) -> EhrhartData:
-    """Full oracle bundle; extra counts beyond t = d must match the polynomial."""
+def ehrhart_data(s, tmax=None, budget=None) -> dict:
+    """The dict that `ehrhart` prints: counts at t = 0..max(tmax, d), the polynomial as
+    (numerator, denominator) pairs, which must match the counts past t = d, and delta."""
     seq = check_s(s)
     d = len(seq)
     top = d if tmax is None else int(tmax)
@@ -118,5 +102,9 @@ def ehrhart_data(s, tmax=None, budget=None) -> EhrhartData:
             raise InconsistentCountsError(
                 f"polynomial predicts {value} at t={t} but direct count is {counts[t]}"
             )
-    delta = delta_from_counts(counts[: d + 1])
-    return EhrhartData(seq, tuple(counts), poly, delta)
+    return {
+        "s": seq,
+        "counts": tuple(counts),
+        "polynomial": tuple((c.numerator, c.denominator) for c in poly),
+        "delta": delta_from_counts(counts[: d + 1]),
+    }

@@ -81,9 +81,14 @@ def check_budget(cost: int, budget, what: str) -> None:
         raise BudgetExceededError(f"{what} takes {cost} steps, over budget {budget}")
 
 
+def _count_cells(seq, t: int, dilates: int = 1) -> int:
+    """Cells that `count` fills for `dilates` dilates whose factors sum to t: t*s_i + 1 per level, and per prefix array but the last."""
+    return t * (2 * sum(seq) - seq[-1]) + dilates * (2 * len(seq) - 1)
+
+
 def _charge_count(seq, t: int, budget) -> None:
-    """Refuse `count(seq, t)` over budget, t >= 1: t*s_i + 1 cells per level, and per prefix array but the last."""
-    check_budget(t * (2 * sum(seq) - seq[-1]) + 2 * len(seq) - 1, budget, f"counting the points of {t}*P^{seq}")
+    """Refuse `count(seq, t)` over budget, t >= 1, by `_count_cells`."""
+    check_budget(_count_cells(seq, t), budget, f"counting the points of {t}*P^{seq}")
 
 
 def count(s, t: int, budget=None) -> int:

@@ -209,8 +209,8 @@ def translated_hrep(s) -> list[HalfSpace]:
     polytope is unimodularly equivalent.
     """
     seq = check_s(s)
-    cls = sequence_class(seq)
-    orientations = _theorem_orientations(cls)
+    tags = sequence_class(seq)
+    orientations = _theorem_orientations(tags)
     if not orientations:
         raise UnsupportedSequenceError(f"s={seq} is in no characterized class")
     name, rev = orientations[0]

@@ -92,18 +92,18 @@ def _check_class_protocol(s, fano_expected, interior_expected, divisibility_expe
         failures.append((s, "fano", fano_expected, dv))
         return
     c = classify(s)  # internal cross-assertions must not raise
-    if c.fano_theorem != fano_expected:
-        failures.append((s, "fano_theorem", c.fano_theorem))
+    if c["fano_theorem"] != fano_expected:
+        failures.append((s, "fano_theorem", c["fano_theorem"]))
         return
     if not fano_expected:
         return
     interior = [p for p in lattice_points(s, 1) if contains(s, p, strict=True)]
-    if interior != [interior_expected] or c.interior_point != interior_expected:
+    if interior != [interior_expected] or c["interior_point"] != interior_expected:
         failures.append((s, "interior", interior, interior_expected))
         return
     dual_lattice = dual_is_lattice(translated_hrep(s))
     symmetric = is_symmetric(dv) and degree(dv) == d
-    if not (divisibility_expected == dual_lattice == symmetric == c.reflexive_theorem):
+    if not (divisibility_expected == dual_lattice == symmetric == c["reflexive_theorem"]):
         failures.append((s, "reflexive", divisibility_expected, dual_lattice, symmetric))
 
 

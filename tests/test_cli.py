@@ -119,6 +119,36 @@ def test_search_store_keeps_its_bytes(tmp_path, capsys):
     assert digest == "fac7c21b7bbe4375cafac59b3e1e62ca77b5f35a597f09dac66f40889059bdfe"
 
 
+@pytest.mark.parametrize(
+    "argvs, expected",
+    [
+        pytest.param(
+            [["classify", ",".join(map(str, s))] for d in range(1, 5) for s in product(range(1, 5), repeat=d)],
+            "ebce17351c301abf66708b0ce7eaac1382ec24e53ae4f0f907cb018c8760fa1d",
+            id="classify-d4-s4",
+        ),
+        pytest.param(
+            [
+                ["ehrhart", ",".join(map(str, s)), "--tmax", str(d + 1)]
+                for d in range(1, 4)
+                for s in product(range(1, 4), repeat=d)
+            ],
+            "21c8156df4041a842619fc2bd6cab8a0c90f666aa088f282943dcfbed7a10478",
+            id="ehrhart-d3-s3",
+        ),
+    ],
+)
+def test_classify_and_ehrhart_keep_their_bytes(capsys, argvs, expected):
+    # the stdout of every classify with d <= 4, s_i <= 4 (340 calls), and of every
+    # ehrhart --tmax d+1 with d <= 3, s_i <= 3 (39 calls), one after the other
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == expected
+
+
 def test_decompose_command(capsys):
     payload = out_json(capsys, "decompose", "1,2", "2", "1,3")
     assert payload["parts"] == [[0, 1], [1, 2]]
@@ -413,6 +443,24 @@ def test_ehrhart_refuses_a_negative_tmax(capsys):
     assert (code, out, json.loads(err)["error"]) == (2, "", "usage")
     # a tmax below d still gives the counts up to t = d
     assert out_json(capsys, "ehrhart", "2,3", "--tmax", "0")["counts"] == [1, 7, 19]
+
+
+def test_ehrhart_refuses_a_budget_of_dilates_quickly(capsys, monkeypatch):
+    # each of 10^8 dilates is cheap on its own, and together they would run for days
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, _, err = run_within(capsys, 3.0, "ehrhart", "2,3", "--tmax", "100000000")
+    assert (code, json.loads(err)["error"]) == (3, "budget-exceeded")
+
+
+def test_ehrhart_charges_every_dilate_up_front(capsys, monkeypatch):
+    # the count of t*P^(2,3) fills 7t + 3 cells: 9,995,502 in all for t = 1..1689, 10,007,335 for t = 1..1690
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    assert len(out_json(capsys, "ehrhart", "2,3", "--tmax", "1689")["counts"]) == 1690
+    code, out, err = run(capsys, "ehrhart", "2,3", "--tmax", "1690")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["message"] == (
+        "counting the points of t*P^(2, 3) for t = 1..1690 takes 10007335 steps, over budget 10000000"
+    )
 
 
 def test_ehrhart_default_budget_admits_a_cheap_count(capsys, monkeypatch):

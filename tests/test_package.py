@@ -1,14 +1,16 @@
-"""The package's public surface, the names the benchmark's tracer looks up in it, and its split from the test oracles."""
+"""The package's public surface, the names the benchmark's tracer looks up in it, its split from the test oracles, and the README's library example."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import hallwalk
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_star_import_binds_every_public_name():
@@ -56,3 +58,20 @@ def test_the_package_imports_nothing_from_the_tests():
                 continue
             found += [(path.name, name) for name in names if name.split(".")[0] in local]
     assert found == []
+
+
+def test_the_readme_library_block_runs():
+    # each line runs in turn; a line whose comment is only a Python literal must have that value
+    block = re.search(r"## Library\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked >= 3
