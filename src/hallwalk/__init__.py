@@ -6,7 +6,9 @@ lattice points, point counts, the reversal map, the work budget), `delta`
 and `classify` (Fano/reflexive/Gorenstein), whose results are the dicts
 that their commands print, `idp` (the layer split of a point
 of k*P and the IDP cross-check, which returns the largest k it checked or
-raises), `triangulate` (unimodular chimney triangulations), `intlinalg`
+raises), `triangulate` (unimodular chimney triangulations as the named
+tuple `Triangulation`, and their certificate as the dict that
+`triangulate` prints), `intlinalg`
 (exact determinants), `freesum` (Gorenstein and IDP compositions, which
 return the composite with its index k + l or the largest k checked, or
 raise), `cli` (command line and sweep store).

@@ -100,8 +100,8 @@ def _cmd_triangulate(args) -> int:
     check_budget(2 * (len(s) + 1) ** 2 * prod(s), _budget(), f"triangulating P^{s}")
     tri = chimney_triangulation(s)
     report = verify_triangulation(s, tri)
-    _emit({**tri.to_json(), "verification": report.to_json()})
-    return EXIT_OK if report.ok else EXIT_INCONSISTENT
+    _emit({"s": tri.s, "simplices": tri.simplices, "verification": report})
+    return EXIT_OK if report["ok"] else EXIT_INCONSISTENT
 
 
 def _cmd_compose(args) -> int:
@@ -140,8 +140,11 @@ def search_record(s, budget=None, k_max=None, _levels=None) -> dict:
     return record
 
 
-def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
-    """The sequences a search visits, in order; bad ranges are refused here, before any store is opened."""
+def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None, budget=None):
+    """The sequences a search visits, in order.
+
+    Bad ranges, and draws over `budget`, are refused here, before any store is opened.
+    """
     if dmax < 1 or smax < 1:
         raise UsageError("--dmax and --smax must be >= 1")
     if count is None:
@@ -152,6 +155,7 @@ def _sweep_sequences(dmax: int, smax: int, count: int | None, seed: int | None):
         raise UsageError(
             f"--random {count} asks for more distinct sequences than the {smax}^{dmax} available"
         )
+    check_budget(count * dmax, budget, f"drawing {count} sequences of length {dmax}")
     rng = random.Random(seed)
     if count == smax**dmax:
         # the whole range, so the seed only sets the order: one shuffle, no rejected draws
@@ -210,16 +214,17 @@ def _replace_store(out: Path, text: str) -> None:
 
 def _cmd_search(args) -> int:
     out = Path(args.out)
-    sequences = _sweep_sequences(args.dmax, args.smax, args.random, args.seed)
     if args.idp_max_k is not None and args.idp_max_k < 2:
         # `is_idp` refuses it too, but only at the first record, after the store is opened
         raise UsageError(f"--idp-max-k must be >= 2, got {args.idp_max_k}")
-    existing, witnesses = _read_store(out) if args.resume and out.exists() else ({}, 0)
     budget = _budget()
+    sequences = _sweep_sequences(args.dmax, args.smax, args.random, args.seed, budget)
+    existing, witnesses = _read_store(out) if args.resume and out.exists() else ({}, 0)
     levels: dict = {}  # the IDP transfer's levels, shared by this run's records only
     lines: dict[tuple, str] = dict(existing)
     new = 0
-    with out.open("a") as sink:
+    # a fresh search starts an empty store, so no torn tail of an old one is left before its records
+    with out.open("a" if args.resume else "w") as sink:
         for s in sequences:
             if s in existing:
                 continue

@@ -31,7 +31,7 @@ lying in a facet of P.  Membership and facet tightness are read off one
 `_reflect` checks s again.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, reduce
 from itertools import combinations
 from math import lcm, prod
@@ -46,13 +46,7 @@ Simplex = tuple[Point, ...]
 Wall = tuple[Point, ...]  # a simplex minus one vertex, sorted
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    s: tuple[int, ...]
-    simplices: tuple[Simplex, ...]
-
-    def to_json(self) -> dict:
-        return {"s": list(self.s), "simplices": self.simplices}
+Triangulation = namedtuple("Triangulation", "s simplices")  # the checked s and a tuple of Simplex
 
 
 def _has_integer_ratios(seq) -> bool:
@@ -106,46 +100,8 @@ def _lift_cell(cell: Simplex, ratio: int, top: int) -> list[Simplex]:
     return out
 
 
-@dataclass
-class VerificationReport:
-    s: tuple[int, ...]
-    simplex_count: int
-    expected_count: int
-    non_unimodular: list[int] = field(default_factory=list)
-    outside: list[int] = field(default_factory=list)
-    unmatched_walls: list[Wall] = field(default_factory=list)
-    overfull_walls: list[Wall] = field(default_factory=list)
-    same_side_walls: list[Wall] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.simplex_count == self.expected_count
-            and not self.non_unimodular
-            and not self.outside
-            and not self.unmatched_walls
-            and not self.overfull_walls
-            and not self.same_side_walls
-        )
-
-    def to_json(self) -> dict:
-        def walls(found):
-            return [[list(v) for v in wall] for wall in found]
-
-        return {
-            "ok": self.ok,
-            "simplex_count": self.simplex_count,
-            "expected_count": self.expected_count,
-            "non_unimodular": self.non_unimodular,
-            "outside": self.outside,
-            "unmatched_walls": walls(self.unmatched_walls),
-            "overfull_walls": walls(self.overfull_walls),
-            "same_side_walls": walls(self.same_side_walls),
-        }
-
-
-def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
-    """Exact certificate that the simplices triangulate P^(s).
+def verify_triangulation(s, triangulation: Triangulation) -> dict:
+    """Exact certificate that the simplices triangulate P^(s), as `triangulate` prints it.
 
     Every simplex must have determinant +-1 and its vertices must lie in P,
     and there must be prod(s_i) of them, the normalized volume of P.  Each
@@ -157,14 +113,19 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     2010, ch. 4).  Since P is convex, vertices inside P put the whole
     simplex inside.  `_chain` runs once per distinct vertex: a one-cell wall
     lies in a facet iff the AND of its vertices' masks of tight rows is nonzero.
+
+    The report lists the indices of the non-unimodular (or malformed) cells
+    and of the cells outside P, and the walls (tuples of vertices) that are
+    unmatched, held by more than two cells, or held twice from one side;
+    `ok` is true iff all five are empty and the count is the volume.
     """
     seq = check_s(s)
     d = len(seq)
-    report = VerificationReport(
-        s=seq,
-        simplex_count=len(triangulation.simplices),
-        expected_count=prod(seq),
-    )
+    non_unimodular: list[int] = []
+    outside: list[int] = []
+    unmatched_walls: list[Wall] = []
+    overfull_walls: list[Wall] = []
+    same_side_walls: list[Wall] = []
     # wall -> apex sides; the side is the sign of det(wall_1 - wall_0, ...,
     # apex - wall_0) for the sorted wall, read off the sorted cell's sign
     sides: dict[Wall, list[int]] = {}
@@ -176,22 +137,34 @@ def verify_triangulation(s, triangulation: Triangulation) -> VerificationReport:
     for idx, simplex in enumerate(triangulation.simplices):
         cell = sorted(simplex)
         if len(cell) != d + 1 or any(len(v) != d for v in cell):
-            report.non_unimodular.append(idx)
+            non_unimodular.append(idx)
             continue
         det = determinant(edge_matrix(cell))
         if abs(det) != 1:
-            report.non_unimodular.append(idx)
+            non_unimodular.append(idx)
             continue
         if not all(chain(v)[0] for v in cell):
-            report.outside.append(idx)
+            outside.append(idx)
         for wall, sign in zip(list(combinations(cell, d))[::-1], signs):
             sides.setdefault(wall, []).append(sign * det)
     for wall, held in sides.items():
         if len(held) > 2:
-            report.overfull_walls.append(wall)
+            overfull_walls.append(wall)
         elif len(held) == 2:
             if held[0] == held[1]:
-                report.same_side_walls.append(wall)
+                same_side_walls.append(wall)
         elif not reduce(and_, (chain(v)[1] for v in wall)):
-            report.unmatched_walls.append(wall)
-    return report
+            unmatched_walls.append(wall)
+    simplex_count = len(triangulation.simplices)
+    expected_count = prod(seq)
+    flagged = non_unimodular or outside or unmatched_walls or overfull_walls or same_side_walls
+    return {
+        "ok": simplex_count == expected_count and not flagged,
+        "simplex_count": simplex_count,
+        "expected_count": expected_count,
+        "non_unimodular": non_unimodular,
+        "outside": outside,
+        "unmatched_walls": unmatched_walls,
+        "overfull_walls": overfull_walls,
+        "same_side_walls": same_side_walls,
+    }

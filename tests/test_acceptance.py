@@ -228,8 +228,8 @@ def test_criterion_7_chimney_triangulations():
     for s in sequences:
         tri = chimney_triangulation(s)
         rep = verify_triangulation(s, tri)
-        if not rep.ok:
-            failures.append((s, rep.to_json()))
+        if not rep["ok"]:
+            failures.append((s, rep))
     report("criterion 7: unimodular chimney triangulations", failures, len(sequences))
 
 

@@ -17,6 +17,7 @@ import hallwalk
 from hallwalk import DEFAULT_BUDGET
 from hallwalk.cli import main, search_record
 from hallwalk.errors import BudgetExceededError
+from test_acceptance import ratio_sequences
 
 
 def run(capsys, *argv):
@@ -136,11 +137,22 @@ def test_search_store_keeps_its_bytes(tmp_path, capsys):
             "21c8156df4041a842619fc2bd6cab8a0c90f666aa088f282943dcfbed7a10478",
             id="ehrhart-d3-s3",
         ),
+        pytest.param(
+            [
+                ["triangulate", ",".join(map(str, s))]
+                for forward in ratio_sequences(4, 64)
+                for s in dict.fromkeys((forward, forward[::-1]))
+            ],
+            "f1517bc325a3f930dbd59624b1c5bb16ed1725440fd210ed869d4a1d8be334e4",
+            id="triangulate-d4-64",
+        ),
     ],
 )
 def test_classify_and_ehrhart_keep_their_bytes(capsys, argvs, expected):
-    # the stdout of every classify with d <= 4, s_i <= 4 (340 calls), and of every
-    # ehrhart --tmax d+1 with d <= 3, s_i <= 3 (39 calls), one after the other
+    # the stdout of every classify with d <= 4, s_i <= 4 (340 calls), of every
+    # ehrhart --tmax d+1 with d <= 3, s_i <= 3 (39 calls), and of every triangulate
+    # of an integer-ratio s with d <= 4, prod(s) <= 64, and of its reverse, which
+    # is built reversed (688 calls), one after the other
     digest = hashlib.sha256()
     for argv in argvs:
         code, out, _ = run(capsys, *argv)
@@ -537,6 +549,32 @@ def test_search_resume_after_a_kill_matches_a_single_run(tmp_path, capsys):
     assert strip_timestamps(killed) == strip_timestamps(full)
 
 
+def test_a_fresh_search_keeps_no_bytes_of_an_old_store(tmp_path, capsys, monkeypatch):
+    import hallwalk.cli as cli
+
+    class Crash(Exception):
+        pass
+
+    def crash(out, text):
+        raise Crash("the process died before the final rewrite")
+
+    out = tmp_path / "r.jsonl"
+    argv = ["search", "--dmax", "2", "--smax", "2", "--out", str(out)]
+    out_json(capsys, *argv)
+    old = out.read_bytes()
+    out.write_bytes(old[: old.index(b"\n", len(old) // 2) - 5])  # an old store torn mid-line
+    monkeypatch.setattr(cli, "_replace_store", crash)
+    with pytest.raises(Crash):
+        main(argv)
+    # what the records wrote before the crash is all that is left, and it resumes
+    assert [json.loads(line)["s"] for line in out.read_text().splitlines()] == [
+        [1], [2], [1, 1], [1, 2], [2, 1], [2, 2]
+    ]
+    monkeypatch.undo()
+    payload = out_json(capsys, *argv, "--resume")
+    assert (payload["records"], payload["new_records"]) == (6, 0)
+
+
 def test_search_resume_rejects_a_malformed_inner_line(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     out_json(capsys, "search", "--dmax", "2", "--smax", "2", "--out", str(out))
@@ -604,6 +642,22 @@ def test_search_random_mode_is_seeded(tmp_path, capsys):
     assert strip_timestamps(a) == strip_timestamps(b)
     for line in a.read_text().splitlines():
         assert len(json.loads(line)["s"]) == 4
+
+
+def test_search_random_is_charged_before_it_draws(tmp_path):
+    # 10^9 draws of 9 entries are refused at once; building them dies of memory, so the
+    # child gets about 512 MB of address space and a failing run stops there
+    out = tmp_path / "r.jsonl"
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))"
+    argv = ["search", "--random", "1000000000", "--dmax", "9", "--smax", "10", "--out", str(out)]
+    child = subprocess.run(
+        [sys.executable, "-c", f"{limit}; import sys; from hallwalk.cli import main; sys.exit(main({argv!r}))"],
+        env={**os.environ, "PYTHONPATH": str(Path(hallwalk.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stdout) == (3, ""), child.stderr[-500:]
+    assert json.loads(child.stderr)["error"] == "budget-exceeded"
+    assert list(tmp_path.iterdir()) == []
 
 
 def rejection_sampled(dmax, smax, count, seed):

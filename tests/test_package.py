@@ -44,20 +44,27 @@ def test_no_oracle_is_also_a_name_of_the_package():
     assert [(m.__name__, name) for m in modules for name in defined if hasattr(m, name)] == []
 
 
-def test_the_package_imports_nothing_from_the_tests():
-    tests = Path(__file__).resolve().parent
-    local = {"tests"} | {path.stem for path in tests.glob("*.py")}
-    found = []
+def absolute_imports():
+    """(file, top-level module) for every absolute import in the package's sources."""
     for path in sorted(Path(hallwalk.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name.split(".")[0]) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            found += [(path.name, name) for name in names if name.split(".")[0] in local]
-    assert found == []
+                yield path.name, node.module.split(".")[0]
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    tests = Path(__file__).resolve().parent
+    local = {"tests"} | {path.stem for path in tests.glob("*.py")}
+    assert [(file, name) for file, name in absolute_imports() if name in local] == []
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # dataclasses imports inspect, the largest stdlib import a fresh `hallwalk` command would pay for
+    imports = list(absolute_imports())
+    assert ("cli.py", "argparse") in imports
+    assert [(file, name) for file, name in imports if name == "dataclasses"] == []
 
 
 def test_the_readme_library_block_runs():
