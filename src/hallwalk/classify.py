@@ -2,19 +2,21 @@
 
 Two independent verdicts are produced wherever possible:
 
-* theorem verdicts from the arithmetic of s, available for three sequence
-  classes (strictly increasing, constant then strictly increasing, and
-  weakly increasing by at most one), applied to s or to reverse(s);
+* theorem verdicts from the arithmetic of s, applied to s or to
+  reverse(s): two theorems cover three sequence classes, one for s
+  constant then strictly increasing (strictly increasing is the case of a
+  constant run of length one) and one for s weakly increasing by at most
+  one;
 * delta verdicts from the ascent-enumerated delta-vector (delta_d = 1 for
   Fano; symmetric of degree d for reflexive-up-to-unimodular-equivalence).
 
 The interior point is read off the chain of facet rows in O(d) steps, as
 the least and the greatest interior lattice point (`_interior_chain`); it
 exists exactly when the two are equal, which must agree with delta_d = 1.
-One loop over the theorem orientations yields a (Fano, interior point,
-divisible) verdict per orientation; the verdicts must all be equal and must
-match delta and the chain, so a disagreement surfaces as an error instead
-of a silent wrong answer.  The theorem verdict certifies the property after
+`_theorem_verdict` yields a (Fano, interior point, divisible) verdict per
+theorem orientation; the verdicts must all be equal and must match delta
+and the chain, so a disagreement surfaces as an error instead of a silent
+wrong answer.  The theorem verdict certifies the property after
 translating the unique interior point to the origin; the delta verdict
 certifies it only up to unimodular equivalence.
 
@@ -26,7 +28,7 @@ reads it off the symmetry of the delta-vector.  No dilate is enumerated.
 from math import gcd
 
 from . import delta as deltas
-from .errors import MathematicalInconsistencyError, UnsupportedSequenceError
+from .errors import MathematicalInconsistencyError
 from .polytope import _reflect, check_s
 
 STRICTLY_INCREASING = "strictly-increasing"
@@ -73,68 +75,29 @@ def sequence_class(s) -> tuple[tuple[str, bool], ...]:
     )
 
 
-def _fano_condition(name: str, seq) -> bool:
-    d = len(seq)
-    if name == STRICTLY_INCREASING:
-        return seq[0] == 2 and all(seq[i + 1] <= 2 * seq[i] for i in range(d - 1))
-    if name == CONSTANT_THEN_STRICT:
-        run = _constant_run(seq)
-        return seq[0] == run + 1 and all(
-            seq[j + 1] <= 2 * seq[j] for j in range(run - 1, d - 1)
-        )
-    if name == INCREMENT_AT_MOST_ONE:
-        return seq[-1] == d + 1
-    raise UnsupportedSequenceError(f"no Fano characterization for class {name}")
-
-
-def _interior_point_formula(name: str, seq) -> tuple[int, ...]:
-    d = len(seq)
-    if name == STRICTLY_INCREASING:
-        return tuple(v - 1 for v in seq)
-    if name == CONSTANT_THEN_STRICT:
-        run = _constant_run(seq)
-        return tuple(i + 1 if i < run else seq[i] - 1 for i in range(d))
-    if name == INCREMENT_AT_MOST_ONE:
-        return tuple(range(1, d + 1))
-    raise UnsupportedSequenceError(f"no interior point formula for class {name}")
-
-
-def _divisibility_condition(name: str, seq) -> bool:
-    d = len(seq)
-    if name in (STRICTLY_INCREASING, CONSTANT_THEN_STRICT):
-        start = 0 if name == STRICTLY_INCREASING else _constant_run(seq) - 1
-        for i in range(start, d - 1):
-            k = seq[i + 1] - seq[i]
-            if seq[i] % k or seq[i + 1] % k:
-                return False
-        return True
-    if name == INCREMENT_AT_MOST_ONE:
-        for i in range(d - 1):
-            k = (i + 2) * seq[i] - (i + 1) * seq[i + 1]
-            if seq[i] % k or seq[i + 1] % k:
-                return False
-        return True
-    raise UnsupportedSequenceError(f"no reflexivity characterization for class {name}")
-
-
-def _theorem_orientations(tags):
-    return [
-        (name, rev)
-        for name, rev in tags
-        if name in (STRICTLY_INCREASING, CONSTANT_THEN_STRICT, INCREMENT_AT_MOST_ONE)
-    ]
-
-
 def _theorem_verdict(name: str, rev: bool, seq):
-    """(Fano, interior point of P^(seq), reflexive) by one class theorem.
+    """(Fano, interior point of P^(seq), reflexive) by the class theorem of `name`, applied to seq or reverse(seq).
 
-    Reflexive means divisible for a Fano polytope; any other is not reflexive.
+    A strictly increasing s is constant then strict with a constant run of
+    length one, so one theorem serves both classes.  Reflexive means
+    divisible for a Fano polytope; any other is not reflexive.
     """
-    oriented = seq[::-1] if rev else seq
-    if not _fano_condition(name, oriented):
-        return False, None, False
-    p = _interior_point_formula(name, oriented)
-    return True, _reflect(oriented, p) if rev else p, _divisibility_condition(name, oriented)
+    s = seq[::-1] if rev else seq
+    d = len(s)
+    if name == INCREMENT_AT_MOST_ONE:
+        if s[-1] != d + 1:
+            return False, None, False
+        p = tuple(range(1, d + 1))
+        divisors = [((i + 2) * s[i] - (i + 1) * s[i + 1], s[i], s[i + 1]) for i in range(d - 1)]
+    else:
+        run = _constant_run(s)
+        pairs = list(zip(s[run - 1 :], s[run:]))
+        if s[0] != run + 1 or any(b > 2 * a for a, b in pairs):
+            return False, None, False
+        p = (*range(1, run + 1), *(v - 1 for v in s[run:]))
+        divisors = [(b - a, a, b) for a, b in pairs]
+    divisible = not any(a % k or b % k for k, a, b in divisors)
+    return True, _reflect(s, p) if rev else p, divisible
 
 
 def _interior_chain(seq):
@@ -176,7 +139,8 @@ def classify(s, budget=None, _delta=None) -> dict:
     index = gorenstein_index(seq, budget=budget, _delta=dv)
     reflexive_delta = index == 1
 
-    orientations = _theorem_orientations(tags)
+    # a strictly increasing orientation is also constant then strict, whose verdict it shares
+    orientations = [tag for tag in tags if tag[0] not in (STRICTLY_INCREASING, WEAKLY_MONOTONE, GENERAL)]
     verdicts = {(name, rev): _theorem_verdict(name, rev, seq) for name, rev in orientations}
     fano_theorem: bool | None = None
     reflexive_theorem: bool | None = None

@@ -78,7 +78,9 @@ def check_budget(cost: int, budget, what: str) -> None:
     it is about to do, or with a running total that already includes it.
     """
     if budget is not None and cost > budget:
-        raise BudgetExceededError(f"{what} takes {cost} steps, over budget {budget}")
+        # str() refuses an int of more than 4,300 digits, so a cost past 10,000 bits is given by its size
+        steps = cost if cost.bit_length() <= 10_000 else f"more than 2^{(cost - 1).bit_length() - 1}"
+        raise BudgetExceededError(f"{what} takes {steps} steps, over budget {budget}")
 
 
 def _count_cells(seq, t: int, dilates: int = 1) -> int:

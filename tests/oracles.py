@@ -14,12 +14,7 @@ Tests import them with `from oracles import ...`.
 from math import gcd
 from typing import NamedTuple
 
-from hallwalk.classify import (
-    _fano_condition,
-    _interior_point_formula,
-    _theorem_orientations,
-    sequence_class,
-)
+from hallwalk.classify import GENERAL, WEAKLY_MONOTONE, _theorem_verdict, sequence_class
 from hallwalk.delta import delta_vector
 from hallwalk.ehrhart import delta_from_counts
 from hallwalk.errors import (
@@ -209,15 +204,14 @@ def translated_hrep(s) -> list[HalfSpace]:
     polytope is unimodularly equivalent.
     """
     seq = check_s(s)
-    tags = sequence_class(seq)
-    orientations = _theorem_orientations(tags)
+    orientations = [tag for tag in sequence_class(seq) if tag[0] not in (WEAKLY_MONOTONE, GENERAL)]
     if not orientations:
         raise UnsupportedSequenceError(f"s={seq} is in no characterized class")
     name, rev = orientations[0]
     oriented = reverse(seq) if rev else seq
-    if not _fano_condition(name, oriented):
+    fano, p, _ = _theorem_verdict(name, False, oriented)
+    if not fano:
         raise UnsupportedSequenceError(f"s={seq} is not Fano, no translated facet system")
-    p = _interior_point_formula(name, oriented)
     rows = []
     for row in hrep(oriented):
         g = gcd(*row.a)

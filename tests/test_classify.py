@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from itertools import combinations, product
 from math import gcd
@@ -232,6 +233,22 @@ def test_delta_must_agree_with_the_chain_on_the_interior_point(s, inside, plante
 def test_interior_point_formula_must_agree_with_the_chain(monkeypatch):
     # the package attribute hallwalk.classify is the function, not the module
     module = sys.modules["hallwalk.classify"]
-    monkeypatch.setattr(module, "_interior_point_formula", lambda name, seq: (1, 1, 1))
+    monkeypatch.setattr(module, "_theorem_verdict", lambda name, rev, seq: (True, (1, 1, 1), True))
     with pytest.raises(MathematicalInconsistencyError):
         classify((2, 3, 4))
+
+
+def test_theorem_verdicts_keep_their_values():
+    # every theorem orientation of every s with d <= 5 and s_i <= 9: a rewrite of the theorems must keep each verdict
+    module = sys.modules["hallwalk.classify"]
+    theorems = (STRICTLY_INCREASING, CONSTANT_THEN_STRICT, INCREMENT_AT_MOST_ONE)
+    digest = hashlib.sha256()
+    pinned = 0
+    for d in range(1, 6):
+        for s in product(range(1, 10), repeat=d):
+            for tag, rev in sequence_class(s):
+                if tag in theorems:
+                    digest.update(repr((s, tag, rev, module._theorem_verdict(tag, rev, s))).encode())
+                    pinned += 1
+    assert pinned == 2761
+    assert digest.hexdigest() == "99eb36a324b34e77f7cf76d01a753675a55950ce2b3f8326183c6c28fd31a455"

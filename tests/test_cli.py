@@ -322,6 +322,16 @@ def test_delta_refuses_over_budget_quickly(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget-exceeded"
 
 
+def test_a_cost_too_long_to_print_is_still_a_refusal(capsys, monkeypatch):
+    # 10^4400 inversion sequences: the cost has more digits than str(int) converts by default
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    code, out, err = run(capsys, "delta", ",".join(["10"] * 4400))
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "budget-exceeded"
+    assert "more than 2^" in payload["message"]
+
+
 def test_compose_refuses_over_budget_quickly(capsys, monkeypatch):
     # the composite's delta enumerates (2*3*4*5*6*7)^2 = 25,401,600 inversion sequences
     monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
@@ -760,6 +770,18 @@ def test_search_record_keeps_delta_when_classify_is_refused(monkeypatch):
     assert record["delta"] == [1, 120, 1191, 2416, 1191, 120, 1, 0]
     assert record["error"] == "budget-exceeded"
     assert "classification" not in record
+
+
+def test_search_stores_a_refusal_whose_cost_is_too_long_to_print(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HALLWALK_BUDGET", raising=False)
+    out = tmp_path / "huge.jsonl"
+    payload = out_json(capsys, "search", "--dmax", "10000", "--smax", "10", "--random", "1", "--seed", "0",
+                       "--out", str(out))
+    assert (payload["records"], payload["witnesses"]) == (1, 0)
+    [record] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(record["s"]) == 10000
+    assert record["error"] == "budget-exceeded"
+    assert "more than 2^" in record["detail"]
 
 
 def test_search_record_budget_is_per_sequence():

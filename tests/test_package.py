@@ -82,3 +82,22 @@ def test_the_readme_library_block_runs():
         assert eval(code, namespace) == expected, line
         checked += 1
     assert checked >= 3
+
+
+def imported(file):
+    """Every module and name that an import of the package's `file` mentions: `from .polytope import count` gives polytope and count."""
+    names = set()
+    for node in ast.walk(ast.parse((Path(hallwalk.__file__).parent / file).read_text(), file)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def test_the_two_delta_routes_share_no_code():
+    # the ascent route (delta.py) and the counting route (ehrhart.py) are two verdicts only while they stay apart
+    ascent, counting = imported("delta.py"), imported("ehrhart.py")
+    assert {"polytope", "check_s"} <= ascent and {"polytope", "count"} <= counting
+    assert ascent & {"ehrhart", "count", "_count_cells", "_charge_count"} == set()
+    assert "delta" not in counting
